@@ -10,12 +10,11 @@
  * of optimal — control flow barely limits interval length.
  *
  * The per-workload analyses (compiler passes + 8 sampled warp
- * traces) are independent, so they run on the ExperimentRunner task
- * pool into preassigned slots; --jobs N bounds the worker count.
+ * traces) are independent, so they run on the ExperimentRunner pool
+ * into preassigned slots; --jobs N bounds the worker count.
  */
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -38,9 +37,9 @@ main(int argc, char **argv)
     // One task per workload, writing its stats to its own slot.
     std::vector<IntervalLengthStats> real_by_wl(suite.size());
     std::vector<IntervalLengthStats> opt_by_wl(suite.size());
-    std::vector<std::function<void()>> tasks;
+    harness::ExperimentRunner runner(bench::jobsFromArgs(argc, argv));
     for (std::size_t i = 0; i < suite.size(); i++)
-        tasks.push_back([&, i] {
+        runner.submit([&, i] {
             const Workload &w = suite[i];
             FormationOptions opt;
             opt.max_regs = cfg.regs_per_interval;
@@ -54,9 +53,7 @@ main(int argc, char **argv)
                         ia.kernel, t, opt.max_regs));
             }
         });
-
-    harness::ExperimentRunner runner(bench::jobsFromArgs(argc, argv));
-    runner.runTasks(tasks);
+    runner.drain();
 
     std::printf("Table 4: register-interval dynamic lengths (N=%d)\n\n",
                 cfg.regs_per_interval);

@@ -106,17 +106,15 @@ Search:
   --hv-ref I,E,A     hypervolume reference point: minimum IPC,
                      maximum energy, maximum area
                      (default: 0,2,8)
-  --prune / --no-prune
-                     force the model-dominance pruning heuristic on
-                     or off (default: on for random/hill, off
-                     otherwise)
 
 Evaluation:
   --workloads LIST   all | sensitive | insensitive | name,name,...
                      (default: all)
   --sms N            SMs to simulate (default: 4)
-  --jobs N           worker threads; 0 = hardware concurrency
-                     (default: 0); never changes the results
+  --jobs N           worker threads of the one simulation pool
+                     every strategy admits its cells to; 0 = hardware
+                     concurrency (default: 0); never changes the
+                     results
   --cache-dir DIR    persistent simulation cache: every simulated
                      (config, workload) cell is stored in DIR keyed
                      by its content (sim key + workload + SM count +
@@ -417,10 +415,6 @@ parseArgs(int argc, char **argv)
             std::string v = value(i);
             if (!parseUint64(v, opt.explore.seed))
                 usageError("bad seed \"" + v + "\"");
-        } else if (a == "--prune") {
-            opt.explore.prune = 1;
-        } else if (a == "--no-prune") {
-            opt.explore.prune = 0;
         } else if (a == "--workloads") {
             std::string v = value(i);
             // Selectors resolve like ltrf_run's; explicit names get
@@ -536,11 +530,10 @@ main(int argc, char **argv)
 
     if (!opt.quiet) {
         std::printf("%s search: %zu points evaluated (of %llu in "
-                    "space), %llu pruned, %llu sim reuses, %llu "
-                    "cells simulated, %.1fs\n",
+                    "space), %llu sim reuses, %llu cells simulated, "
+                    "%.1fs\n",
                     strategyName(res.strategy), res.evaluated.size(),
                     static_cast<unsigned long long>(res.space_size),
-                    static_cast<unsigned long long>(res.pruned),
                     static_cast<unsigned long long>(res.sim_reuse),
                     static_cast<unsigned long long>(res.sim_cells),
                     secs);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -31,14 +32,20 @@ namespace
 {
 
 /**
- * Candidates are admitted to the cell pipeline in fixed-size
- * batches: pruning decisions happen at admission boundaries and
- * frontier commits in admission order, so both depend on the
- * admission sequence alone — never on the job count or on which
- * cell finishes first. The batch size is a constant for the same
- * reason.
+ * Full-fidelity candidates are admitted to the cell pipeline in
+ * fixed-size batches and committed in admission order, so every
+ * commit depends on the admission sequence alone — never on the job
+ * count or on which cell finishes first.
  */
 constexpr std::size_t POINT_BATCH = 16;
+
+/**
+ * Admitted-but-uncommitted batches tolerated before the oldest is
+ * committed. Deep enough that the pool never starves (depth x
+ * POINT_BATCH points in flight), fixed so a 10^7-point walk never
+ * holds 10^7 / POINT_BATCH tickets.
+ */
+constexpr std::size_t MAX_DEPTH = 64;
 
 /**
  * Disjoint RNG stream tags, mixed with the search seed (mixSeeds)
@@ -55,25 +62,15 @@ constexpr std::uint64_t STREAM_HALVING_GEN = 0x40000000ull;
 /** Chance that an offspring steps to a random neighbor. */
 constexpr double MUTATION_P = 0.25;
 
+/** Trace lane of the admission thread's instants (batch commits,
+ *  rung promotions), well clear of the pool worker ids. */
+constexpr int EXPLORER_TID = 1000;
+
 /** Per-workload baseline measurements (BL on configuration #1). */
 struct BaselineRow
 {
     double ipc = 0.0;
     double main_rate = 0.0;
-};
-
-/** Analytic summary used by the model-dominance pruning heuristic. */
-struct PruneEntry
-{
-    /** All non-model axis values (cache, policy, warps, interval,
-     *  collectors, DRAM service), joined from the registry: only
-     *  entries with identical contexts are comparable. */
-    std::string context;
-    int capacity;
-    int banks_mult;
-    double latency;
-    double area;
-    double power;
 };
 
 /**
@@ -153,9 +150,9 @@ class Evaluator
      * on the workloads selected by @p wsel (indices into the
      * suite): claim and submit every cell not already claimed, and
      * return the ticket collect() redeems. Baseline cells are
-     * submitted lazily on the first non-empty admission — a resumed
-     * search that evaluates nothing new (--resume with
-     * --generations 0) must not simulate at all.
+     * submitted lazily on the first admission — a resumed search
+     * that admits nothing (--resume with --generations 0) must not
+     * simulate at all.
      */
     Ticket
     begin(std::vector<DesignPoint> points,
@@ -164,8 +161,6 @@ class Evaluator
         Ticket t;
         t.points = std::move(points);
         t.wsel = std::move(wsel);
-        if (t.points.empty())
-            return t;
         ensureBaselines();
         for (const DesignPoint &p : t.points) {
             SimConfig cfg = configFor(p, num_sms);
@@ -197,8 +192,6 @@ class Evaluator
     std::vector<PointResult>
     collect(const Ticket &t)
     {
-        if (t.points.empty())
-            return {};
         {
             std::unique_lock<std::mutex> lk(mu);
             cell_done.wait(lk, [&] {
@@ -219,50 +212,26 @@ class Evaluator
     std::uint64_t simCells() const { return sim_cells; }
     std::uint64_t simReuse() const { return sim_reuse; }
 
-    /** Distinct simKey rows the cell cache ever created. */
-    std::uint64_t rowInserts() const { return row_inserts; }
-
-    /** Per-cell wall-time distribution (only collected when the
-     *  trace or the progress heartbeat is on). */
-    struct CellTimes
-    {
-        std::uint64_t count = 0;
-        double p50_ms = 0.0;
-        double p90_ms = 0.0;
-        double max_ms = 0.0;
-    };
-
-    CellTimes
-    cellTimes()
+    /** Emit the end-of-run pool summary on stderr (--progress), with
+     *  per-cell wall-time quantiles. */
+    void
+    informSummary()
     {
         std::vector<std::uint64_t> us;
         {
             std::lock_guard<std::mutex> lk(mu);
             us = cell_us;
         }
-        CellTimes ct;
-        ct.count = us.size();
-        if (us.empty())
-            return ct;
         std::sort(us.begin(), us.end());
         auto ms_at = [&](double q) {
+            if (us.empty())
+                return 0.0;
             const std::size_t i = std::min(
                     us.size() - 1,
                     static_cast<std::size_t>(
                             q * static_cast<double>(us.size())));
             return static_cast<double>(us[i]) / 1000.0;
         };
-        ct.p50_ms = ms_at(0.50);
-        ct.p90_ms = ms_at(0.90);
-        ct.max_ms = static_cast<double>(us.back()) / 1000.0;
-        return ct;
-    }
-
-    /** Emit the end-of-run pool summary on stderr (--progress). */
-    void
-    informSummary()
-    {
-        const CellTimes ct = cellTimes();
         ltrf_inform("pool: %llu cells simulated (%llu reused, %llu "
                     "cache rows), cell wall time p50 %.1f ms / p90 "
                     "%.1f ms / max %.1f ms, queue high-water %zu, "
@@ -270,7 +239,7 @@ class Evaluator
                     static_cast<unsigned long long>(sim_cells),
                     static_cast<unsigned long long>(sim_reuse),
                     static_cast<unsigned long long>(row_inserts),
-                    ct.p50_ms, ct.p90_ms, ct.max_ms,
+                    ms_at(0.50), ms_at(0.90), ms_at(1.0),
                     runner.queueHighWater(),
                     runner.inFlightHighWater());
         if (store) {
@@ -508,74 +477,6 @@ class Evaluator
     std::uint64_t next_beat_us = 0;        ///< guarded by mu
 };
 
-/**
- * True if an already-evaluated entry makes simulating @p c
- * pointless: same non-model axes, at least as much capacity and
- * banking, no more latency, and no more area or power — under the
- * model's monotonicity, such an entry is at least as good on every
- * objective. A heuristic (activity-dependent power can in principle
- * reorder), so exhaustive grids leave it off.
- */
-bool
-modelDominated(const std::vector<PruneEntry> &entries,
-               const PruneEntry &c)
-{
-    for (const PruneEntry &e : entries) {
-        if (e.context != c.context)
-            continue;
-        if (e.capacity < c.capacity || e.banks_mult < c.banks_mult ||
-            e.latency > c.latency || e.area > c.area ||
-            e.power > c.power)
-            continue;
-        if (e.capacity > c.capacity || e.banks_mult > c.banks_mult ||
-            e.latency < c.latency || e.area < c.area ||
-            e.power < c.power)
-            return true;
-    }
-    return false;
-}
-
-PruneEntry
-pruneEntryFor(const DesignPoint &p)
-{
-    const RfConfig rc = makeRfConfig(p.modelPoint());
-    PruneEntry e;
-    for (const AxisDesc &a : axisRegistry())
-        if (!a.model_axis)
-            e.context += a.token(a.get(p)) + "/";
-    e.capacity = p.banks_mult * p.bank_size_mult;
-    e.banks_mult = p.banks_mult;
-    e.latency = rc.latency;
-    e.area = rc.area;
-    e.power = rc.power;
-    return e;
-}
-
-/**
- * The network values the prune context compares across: the space's
- * explicit `--networks` list, falling back to the distinct values
- * the auto pairing derives over the banks axis when the list is
- * empty. Pruning itself needs no network equality (the network
- * reaches the simulation only through the latency multiplier, and
- * the cost objectives only through area/power — all three are in
- * the dominance scalars), but this list determines whether any
- * dominated variant can exist at all: see pruneCanFire().
- */
-std::vector<NetworkKind>
-pruneNetworks(const DesignSpace &space)
-{
-    if (!space.networks.empty())
-        return space.networks;
-    std::vector<NetworkKind> fallback;
-    for (int b : space.banks) {
-        const NetworkKind n = defaultNetwork(b);
-        if (std::find(fallback.begin(), fallback.end(), n) ==
-            fallback.end())
-            fallback.push_back(n);
-    }
-    return fallback;
-}
-
 // ----- NSGA-II machinery (EVOLVE selection, HALVING promotion) -----
 
 /**
@@ -730,6 +631,719 @@ pointToJson(const PointResult &pr)
     return j;
 }
 
+/**
+ * Draws the distinct-point sampler may spend on @p want points:
+ * generous enough to fill a mostly-seen stripe, finite so an
+ * exhausted one ends. Saturates instead of wrapping, so a budget near
+ * 2^64 samples until the stripe runs out like any other large one.
+ */
+std::uint64_t
+drawCap(std::uint64_t want)
+{
+    constexpr std::uint64_t MAX = std::numeric_limits<std::uint64_t>::max();
+    return want > (MAX - 1024) / 64 ? MAX : want * 64 + 1024;
+}
+
+/** Workload indices 0..n-1: the first @p n of the active suite. */
+std::vector<std::size_t>
+firstWorkloads(std::size_t n)
+{
+    std::vector<std::size_t> sel(n);
+    for (std::size_t w = 0; w < n; w++)
+        sel[w] = w;
+    return sel;
+}
+
+/**
+ * The one admission path every strategy runs through. It owns
+ *
+ *  - the seen set: no strategy offers a point twice, and resumed
+ *    points count as seen;
+ *  - this run's shard stripe and the distinct-point sampler over it;
+ *  - the budget, which caps the distinct candidates strategies claim
+ *    (screened ones included; resumed points are free);
+ *  - full-fidelity admission in POINT_BATCH slices, with at most
+ *    MAX_DEPTH batches awaiting commit;
+ *  - commits in admission order, with progress marks queued among
+ *    them so each records the frontier exactly as the commits before
+ *    it left it.
+ *
+ * Strategies interleave claims, admissions, and commits however
+ * their data dependencies allow; the committed state sequence only
+ * ever depends on the admission sequence.
+ */
+class AdmissionPipeline
+{
+  public:
+    /** Seeds the frontier from opt.resume: the saved points enter
+     *  res.evaluated first, with their saved objectives, unbudgeted
+     *  and never re-simulated. */
+    AdmissionPipeline(const DesignSpace &space, const ExploreOptions &opt,
+                      Evaluator &ev, std::vector<std::size_t> all_sel,
+                      DseResult &res);
+
+    /** Record @p p as seen and count it toward the budget; false
+     *  (and nothing counted) if it already was seen. */
+    bool claim(const DesignPoint &p);
+
+    std::uint64_t budgetLeft() const;
+
+    /** A cursor over this run's stripe of the enumeration order. */
+    PointCursor stripe() const;
+
+    /** Up to @p want distinct unseen points drawn uniformly from the
+     *  stripe with @p rng, each claimed as it is drawn. */
+    std::vector<DesignPoint> sample(Rng &rng, std::uint64_t want);
+
+    /** Stamp the points admitted from now on with generation @p g. */
+    void generation(int g);
+
+    /** Admit the claimed or screened @p p at full fidelity. */
+    void admit(const DesignPoint &p);
+
+    /** Record generation @p g's progress once everything admitted so
+     *  far has committed. */
+    void mark(int g);
+
+    /** Commit everything admitted; @return the res.evaluated indices
+     *  committed since the previous call. */
+    std::vector<int> commitAll();
+
+    /** Commit everything, then publish the frontier into res. */
+    void finish();
+
+    const ParetoFrontier &frontier() const { return front; }
+
+  private:
+    /** A queued admission batch, or a progress mark (empty ticket). */
+    struct Entry
+    {
+        Evaluator::Ticket ticket;
+        int gen;
+        bool mark;
+    };
+
+    /** Insert @p p into the seen set, counting in-stripe keys. */
+    bool insertSeen(const DesignPoint &p);
+    /** Admit the partial batch, then commit down to MAX_DEPTH. */
+    void flush();
+    void commitFront();
+
+    const DesignSpace &space;
+    const ExploreOptions &opt;
+    Evaluator &ev;
+    const std::vector<std::size_t> all_sel;
+    DseResult &res;
+    ParetoFrontier front;
+
+    /** The sampled stripe of the enumeration order: all of it for an
+     *  unsharded run, the shard_index-th of shard_count balanced
+     *  index ranges otherwise. */
+    std::uint64_t stripe_lo = 0;
+    std::uint64_t stripe_size = 0;
+    std::set<std::string> seen;
+    /** Seen keys inside the stripe: resumed points from a wider space
+     *  (or another shard) must not make the sampler think the stripe
+     *  is exhausted. */
+    std::uint64_t in_stripe_seen = 0;
+    std::uint64_t claimed = 0;
+
+    std::vector<DesignPoint> batch;
+    int gen = -1;
+    std::deque<Entry> queue;
+    std::vector<int> committed;
+    std::uint64_t batches_committed = 0;
+};
+
+AdmissionPipeline::AdmissionPipeline(const DesignSpace &space_,
+                                     const ExploreOptions &opt_,
+                                     Evaluator &ev_,
+                                     std::vector<std::size_t> all_sel_,
+                                     DseResult &res_)
+    : space(space_), opt(opt_), ev(ev_), all_sel(std::move(all_sel_)),
+      res(res_)
+{
+    const std::uint64_t count =
+            static_cast<std::uint64_t>(opt.shard_count);
+    const std::uint64_t index =
+            static_cast<std::uint64_t>(opt.shard_index);
+    const std::uint64_t base = space.size() / count;
+    const std::uint64_t rem = space.size() % count;
+    stripe_lo = base * index + std::min(index, rem);
+    stripe_size = base + (index < rem ? 1 : 0);
+
+    if (opt.trace)
+        opt.trace->threadName(Evaluator::POOL_PID, EXPLORER_TID,
+                              "explorer");
+
+    for (const SeedPoint &sp : opt.resume.points) {
+        if (!insertSeen(sp.point))
+            continue;
+        PointResult pr;
+        pr.point = sp.point;
+        pr.model = makeRfConfig(sp.point.modelPoint());
+        pr.obj = sp.obj;
+        pr.resumed = true;
+        front.insert(static_cast<int>(res.evaluated.size()), pr.obj);
+        res.evaluated.push_back(std::move(pr));
+        res.resumed++;
+    }
+}
+
+bool
+AdmissionPipeline::insertSeen(const DesignPoint &p)
+{
+    if (!seen.insert(p.key()).second)
+        return false;
+    if (space.contains(p)) {
+        const std::uint64_t idx = space.indexOf(p);
+        if (idx >= stripe_lo && idx - stripe_lo < stripe_size)
+            in_stripe_seen++;
+    }
+    return true;
+}
+
+bool
+AdmissionPipeline::claim(const DesignPoint &p)
+{
+    if (!insertSeen(p))
+        return false;
+    claimed++;
+    return true;
+}
+
+std::uint64_t
+AdmissionPipeline::budgetLeft() const
+{
+    if (opt.budget == 0)
+        return std::numeric_limits<std::uint64_t>::max();
+    return opt.budget > claimed ? opt.budget - claimed : 0;
+}
+
+PointCursor
+AdmissionPipeline::stripe() const
+{
+    return PointCursor(space, stripe_lo, stripe_size);
+}
+
+std::vector<DesignPoint>
+AdmissionPipeline::sample(Rng &rng, std::uint64_t want)
+{
+    std::vector<DesignPoint> out;
+    std::uint64_t tries = drawCap(want);
+    while (out.size() < want && in_stripe_seen < stripe_size &&
+           tries > 0) {
+        tries--;
+        DesignPoint p =
+                space.pointAt(stripe_lo + rng.nextBounded(stripe_size));
+        if (claim(p))
+            out.push_back(p);
+    }
+    return out;
+}
+
+void
+AdmissionPipeline::generation(int g)
+{
+    flush();
+    gen = g;
+}
+
+void
+AdmissionPipeline::admit(const DesignPoint &p)
+{
+    batch.push_back(p);
+    if (batch.size() == POINT_BATCH)
+        flush();
+}
+
+void
+AdmissionPipeline::flush()
+{
+    if (!batch.empty()) {
+        queue.push_back({ev.begin(std::move(batch), all_sel), gen, false});
+        batch.clear();
+    }
+    while (queue.size() > MAX_DEPTH)
+        commitFront();
+}
+
+void
+AdmissionPipeline::mark(int g)
+{
+    flush();
+    queue.push_back({Evaluator::Ticket{}, g, true});
+}
+
+void
+AdmissionPipeline::commitFront()
+{
+    const Entry e = std::move(queue.front());
+    queue.pop_front();
+    if (e.mark) {
+        DseResult::GenStat s;
+        s.gen = e.gen;
+        s.evaluated = res.evaluated.size();
+        s.frontier_size = front.size();
+        s.hypervolume = hypervolume(front.objectives(), opt.hv_ref);
+        res.progress.push_back(s);
+        return;
+    }
+    batches_committed++;
+    std::size_t added = 0;
+    for (PointResult &pr : ev.collect(e.ticket)) {
+        const int idx = static_cast<int>(res.evaluated.size());
+        pr.gen = e.gen;
+        front.insert(idx, pr.obj);
+        res.evaluated.push_back(std::move(pr));
+        committed.push_back(idx);
+        added++;
+    }
+    if (opt.trace)
+        opt.trace->instant(("commit batch " +
+                            std::to_string(batches_committed) + " (+" +
+                            std::to_string(added) + " points)")
+                                   .c_str(),
+                           Evaluator::POOL_PID, EXPLORER_TID,
+                           opt.trace->wallUs());
+}
+
+std::vector<int>
+AdmissionPipeline::commitAll()
+{
+    flush();
+    while (!queue.empty())
+        commitFront();
+    return std::exchange(committed, {});
+}
+
+void
+AdmissionPipeline::finish()
+{
+    commitAll();
+    for (const ParetoFrontier::Member &m : front.members()) {
+        res.frontier.push_back(m.point_index);
+        res.evaluated[static_cast<std::size_t>(m.point_index)]
+                .on_frontier = true;
+    }
+    res.hv = res.progress.empty() ? 0.0
+                                  : res.progress.back().hypervolume;
+}
+
+// ----- Strategies: each drives the pipeline, none owns admission
+// state of its own. -----
+
+/** GRID: the stripe in enumeration order, skipping resumed points,
+ *  up to the budget. */
+void
+runGrid(AdmissionPipeline &pipe)
+{
+    PointCursor cur = pipe.stripe();
+    for (DesignPoint p; pipe.budgetLeft() > 0 && cur.next(p);)
+        if (pipe.claim(p))
+            pipe.admit(p);
+    pipe.mark(0);
+}
+
+/** RANDOM: a budget of distinct samples from the seed's stream. */
+void
+runRandom(AdmissionPipeline &pipe, const ExploreOptions &opt)
+{
+    Rng rng(opt.seed);
+    for (const DesignPoint &p : pipe.sample(rng, pipe.budgetLeft()))
+        pipe.admit(p);
+    pipe.mark(0);
+}
+
+/**
+ * HILL_CLIMB: starting from the stripe's first point, expand the
+ * best-IPC frontier member not yet expanded into its single-step
+ * neighbors; once every in-space member has been expanded, restart
+ * from a seeded sample.
+ */
+void
+runHill(AdmissionPipeline &pipe, const DesignSpace &space,
+        const ExploreOptions &opt, DseResult &res)
+{
+    PointCursor first = pipe.stripe();
+    DesignPoint start;
+    if (first.next(start) && pipe.claim(start))
+        pipe.admit(start);
+    pipe.commitAll();
+
+    std::set<std::string> expanded;
+    while (pipe.budgetLeft() > 0) {
+        // Resumed members outside the restricted space still anchor
+        // the frontier, but expanding them would step sideways out of
+        // the space the user asked for (neighbors() only skips the
+        // out-of-range axis itself).
+        const DesignPoint *pick = nullptr;
+        for (const ParetoFrontier::Member &m : pipe.frontier().members()) {
+            const DesignPoint &p =
+                    res.evaluated[static_cast<std::size_t>(m.point_index)]
+                            .point;
+            if (!expanded.count(p.key()) && space.contains(p)) {
+                pick = &p;
+                break;
+            }
+        }
+        if (pick) {
+            expanded.insert(pick->key());
+            for (const DesignPoint &n : space.neighbors(*pick)) {
+                if (pipe.budgetLeft() == 0)
+                    break;
+                if (pipe.claim(n))
+                    pipe.admit(n);
+            }
+        } else {
+            // Each restart draws from its own (seed, restart index)
+            // stream, so restart K's sample cannot drift with how
+            // many draws earlier restarts consumed.
+            Rng rng(mixSeeds(opt.seed, STREAM_HILL_RESTART + res.restarts));
+            res.restarts++;
+            const std::vector<DesignPoint> restart = pipe.sample(rng, 1);
+            if (restart.empty())
+                break;    // stripe exhausted
+            pipe.admit(restart.front());
+        }
+        pipe.commitAll();
+    }
+    pipe.mark(0);
+}
+
+/** The objectives of res.evaluated[i] for each i in @p idxs. */
+std::vector<Objectives>
+objectivesOf(const DseResult &res, const std::vector<int> &idxs)
+{
+    std::vector<Objectives> objs;
+    objs.reserve(idxs.size());
+    for (int i : idxs)
+        objs.push_back(res.evaluated[static_cast<std::size_t>(i)].obj);
+    return objs;
+}
+
+/** Binary tournament: the NSGA-II-better of two uniform draws from a
+ *  population ranked by @p rank and @p crowd. */
+std::size_t
+tournament(Rng &rng, const std::vector<int> &rank,
+           const std::vector<double> &crowd)
+{
+    const std::size_t a = rng.nextBounded(rank.size());
+    const std::size_t b = rng.nextBounded(rank.size());
+    return nsgaBetter(a, b, rank, crowd) ? a : b;
+}
+
+/**
+ * EVOLVE: generation 0 is the in-space resumed points plus a seeded
+ * random top-up; each later generation breeds up to a population of
+ * unseen offspring (tournament, crossover, mutation) and keeps the
+ * NSGA-II best of parents and offspring.
+ */
+void
+runEvolve(AdmissionPipeline &pipe, const DesignSpace &space,
+          const ExploreOptions &opt, DseResult &res)
+{
+    const std::uint64_t pop = static_cast<std::uint64_t>(opt.population);
+    std::vector<int> population;
+    for (std::size_t i = 0; i < res.resumed; i++)
+        if (space.contains(res.evaluated[i].point))
+            population.push_back(static_cast<int>(i));
+    pipe.generation(0);
+    // A resume with --generations 0 is a pure replay and evaluates
+    // nothing.
+    if (opt.generations > 0 || res.resumed == 0) {
+        Rng rng(mixSeeds(opt.seed, STREAM_EVOLVE_INIT));
+        const std::uint64_t top_up =
+                pop > population.size() ? pop - population.size() : 0;
+        for (const DesignPoint &p :
+             pipe.sample(rng, std::min(pipe.budgetLeft(), top_up)))
+            pipe.admit(p);
+        const std::vector<int> added = pipe.commitAll();
+        population.insert(population.end(), added.begin(), added.end());
+    }
+    pipe.mark(0);
+
+    for (int g = 1; g <= opt.generations; g++) {
+        if (population.size() < 2 || pipe.budgetLeft() == 0)
+            break;
+        pipe.generation(g);
+        Rng rng(mixSeeds(opt.seed,
+                         STREAM_EVOLVE_GEN + static_cast<std::uint64_t>(g)));
+        const std::vector<Objectives> objs = objectivesOf(res, population);
+        const std::vector<int> rank = nonDominationRanks(objs);
+        const std::vector<double> crowd = crowdingDistances(objs, rank);
+
+        // Breed up to a population of distinct, unseen offspring
+        // (bounded attempts: a tight space or a converged population
+        // may have nothing new to offer).
+        const std::uint64_t want = std::min(pipe.budgetLeft(), pop);
+        std::uint64_t bred = 0;
+        for (std::uint64_t tries = want * 64 + 256; bred < want && tries > 0;
+             tries--) {
+            const std::size_t a = tournament(rng, rank, crowd);
+            const std::size_t b = tournament(rng, rank, crowd);
+            DesignPoint child = crossover(
+                    res.evaluated[static_cast<std::size_t>(population[a])]
+                            .point,
+                    res.evaluated[static_cast<std::size_t>(population[b])]
+                            .point,
+                    rng, space);
+            if (rng.nextBool(MUTATION_P)) {
+                const std::vector<DesignPoint> nb = space.neighbors(child);
+                if (!nb.empty())
+                    child = nb[rng.nextBounded(nb.size())];
+            }
+            if (pipe.claim(child)) {
+                pipe.admit(child);
+                bred++;
+            }
+        }
+        if (bred == 0) {
+            pipe.mark(g);
+            break;
+        }
+
+        // Environmental selection over parents + offspring.
+        std::vector<int> pool = population;
+        const std::vector<int> added = pipe.commitAll();
+        pool.insert(pool.end(), added.begin(), added.end());
+        const std::vector<std::size_t> order =
+                nsgaOrder(objectivesOf(res, pool));
+        population.clear();
+        for (std::size_t k = 0; k < order.size() && k < pop; k++)
+            population.push_back(pool[order[k]]);
+        pipe.mark(g);
+    }
+}
+
+/** HALVING's fidelity levels: workload index subsets, smallest
+ *  first, each a subset of the next, the last the full suite. */
+using RungSchedule = std::vector<std::vector<std::size_t>>;
+
+/**
+ * Resolve HALVING's rung schedule: --rungs builds K prefix subsets;
+ * the default is the legacy two rungs [screening subset, all] with
+ * the subset from explicit names or screen_count. Empty for the
+ * other strategies.
+ */
+RungSchedule
+rungSchedule(const ExploreOptions &opt,
+             const std::vector<std::string> &names)
+{
+    RungSchedule rs;
+    if (opt.strategy != Strategy::HALVING) {
+        if (!opt.rungs.empty())
+            ltrf_fatal("--rungs only applies to the halving strategy "
+                       "(got --strategy %s)", strategyName(opt.strategy));
+        return rs;
+    }
+    if (!opt.rungs.empty()) {
+        if (!opt.screen_workloads.empty())
+            ltrf_fatal("--rungs and an explicit --screen-workloads list "
+                       "are mutually exclusive (the rung schedule "
+                       "defines every screening subset)");
+        if (opt.rungs.size() < 2)
+            ltrf_fatal("--rungs needs at least two fidelity levels (a "
+                       "screening rung and the full suite)");
+        int prev = 0;
+        for (std::size_t k = 0; k < opt.rungs.size(); k++) {
+            const int n = opt.rungs[k] == 0    // "all"
+                                  ? static_cast<int>(names.size())
+                                  : opt.rungs[k];
+            if (n < 1 || n > static_cast<int>(names.size()))
+                ltrf_fatal("rung %zu asks for %d workloads but the "
+                           "active suite has %zu", k, opt.rungs[k],
+                           names.size());
+            if (n <= prev)
+                ltrf_fatal("rung workload counts must be strictly "
+                           "increasing (rung %zu: %d after %d)", k, n,
+                           prev);
+            prev = n;
+            rs.push_back(firstWorkloads(static_cast<std::size_t>(n)));
+        }
+        if (prev != static_cast<int>(names.size()))
+            ltrf_fatal("the last rung must be the full suite (\"all\" or "
+                       "%zu workloads); got %d", names.size(), prev);
+        return rs;
+    }
+
+    std::vector<std::size_t> screen;
+    if (!opt.screen_workloads.empty()) {
+        for (const std::string &s : opt.screen_workloads) {
+            const auto it = std::find(names.begin(), names.end(), s);
+            if (it == names.end())
+                ltrf_fatal("screening workload \"%s\" is not in the "
+                           "active suite", s.c_str());
+            const std::size_t w =
+                    static_cast<std::size_t>(it - names.begin());
+            if (std::find(screen.begin(), screen.end(), w) != screen.end())
+                ltrf_fatal("screening workload \"%s\" listed twice",
+                           s.c_str());
+            screen.push_back(w);
+        }
+    } else {
+        if (opt.screen_count < 1)
+            ltrf_fatal("--screen-workloads must name at least one "
+                       "workload");
+        screen = firstWorkloads(std::min(
+                static_cast<std::size_t>(opt.screen_count), names.size()));
+    }
+    return {std::move(screen), firstWorkloads(names.size())};
+}
+
+/** HALVING's per-rung cut: ceil(n * frac), at least one, at most n. */
+std::size_t
+promoteCut(std::size_t n, double frac)
+{
+    return std::min(n, std::max<std::size_t>(
+                               1, static_cast<std::size_t>(std::ceil(
+                                          static_cast<double>(n) * frac))));
+}
+
+/**
+ * HALVING: every generation's pool is sampled and screened on the
+ * first rung before any result is collected — sampling reads only
+ * the seen set and the budget — so later generations' screens run
+ * while earlier generations' promotions are in flight. Each pool
+ * then cascades through the rung schedule: ranking a rung waits only
+ * on that rung's cells, and a promotion reuses every cell screened
+ * below it, simulating just the workloads the next rung adds.
+ * Survivors reach full fidelity through the pipeline, so one
+ * generation's stragglers never gate the next generation's rungs.
+ */
+void
+runHalving(AdmissionPipeline &pipe, Evaluator &ev,
+           const RungSchedule &rungs, const ExploreOptions &opt,
+           DseResult &res)
+{
+    pipe.mark(0);
+    std::vector<std::vector<DesignPoint>> pools;
+    std::vector<Evaluator::Ticket> screens;
+    for (int g = 0; g < opt.generations && pipe.budgetLeft() > 0; g++) {
+        Rng rng(mixSeeds(opt.seed,
+                         STREAM_HALVING_GEN + static_cast<std::uint64_t>(g)));
+        std::vector<DesignPoint> pool = pipe.sample(
+                rng, std::min(pipe.budgetLeft(),
+                              static_cast<std::uint64_t>(opt.population)));
+        if (pool.empty())
+            break;    // stripe exhausted
+        res.screened += pool.size();
+        res.rung_screened[0] += pool.size();
+        screens.push_back(ev.begin(pool, rungs[0]));
+        pools.push_back(std::move(pool));
+    }
+
+    const std::size_t last = rungs.size() - 1;
+    for (std::size_t gi = 0; gi < pools.size(); gi++) {
+        const int gen = static_cast<int>(gi) + 1;
+        std::vector<DesignPoint> &survivors = pools[gi];
+        Evaluator::Ticket ticket = std::move(screens[gi]);
+        for (std::size_t k = 0; k < last; k++) {
+            std::vector<Objectives> objs;
+            for (const PointResult &pr : ev.collect(ticket))
+                objs.push_back(pr.obj);
+            const std::vector<std::size_t> order = nsgaOrder(objs);
+            const std::size_t promote =
+                    promoteCut(survivors.size(), opt.promote_frac);
+            std::vector<DesignPoint> next;
+            next.reserve(promote);
+            for (std::size_t j = 0; j < promote; j++)
+                next.push_back(survivors[order[j]]);
+            res.rung_promoted[k] += promote;
+            if (opt.trace)
+                opt.trace->instant(
+                        ("gen " + std::to_string(gen) + " rung " +
+                         std::to_string(k) + ": promote " +
+                         std::to_string(promote) + "/" +
+                         std::to_string(survivors.size()))
+                                .c_str(),
+                        Evaluator::POOL_PID, EXPLORER_TID,
+                        opt.trace->wallUs());
+            survivors = std::move(next);
+            res.rung_screened[k + 1] += survivors.size();
+            if (k + 1 < last) {
+                // An intermediate rung: still below full fidelity, so
+                // its points count as screened, not evaluated.
+                res.screened += survivors.size();
+                ticket = ev.begin(survivors, rungs[k + 1]);
+            }
+        }
+        pipe.generation(gen);
+        for (const DesignPoint &p : survivors)
+            pipe.admit(p);
+        pipe.mark(gen);
+    }
+}
+
+// ----- explore() set-up -----
+
+/** fatal() on options no strategy can run with. */
+void
+checkOptions(const ExploreOptions &opt)
+{
+    if ((opt.strategy == Strategy::RANDOM ||
+         opt.strategy == Strategy::HILL_CLIMB) &&
+        opt.budget == 0)
+        ltrf_fatal("--budget is required for the %s strategy (grid "
+                   "alone may walk the whole space)",
+                   strategyName(opt.strategy));
+    if (opt.strategy == Strategy::EVOLVE ||
+        opt.strategy == Strategy::HALVING) {
+        if (opt.population < 2)
+            ltrf_fatal("--population must be >= 2 (got %d)",
+                       opt.population);
+        if (opt.generations < 0)
+            ltrf_fatal("--generations must be >= 0 (got %d)",
+                       opt.generations);
+    }
+    if (!(opt.promote_frac > 0.0 && opt.promote_frac < 1.0))
+        ltrf_fatal("--promote-frac must be in (0, 1) (got %g)",
+                   opt.promote_frac);
+    if (opt.shard_count < 1 || opt.shard_index < 0 ||
+        opt.shard_index >= opt.shard_count)
+        ltrf_fatal("--shard %d/%d out of range (need 0 <= index < "
+                   "count)", opt.shard_index, opt.shard_count);
+}
+
+/** The active suite: opt.workloads (each name checked), or all. */
+std::vector<std::string>
+activeWorkloads(const ExploreOptions &opt)
+{
+    std::vector<std::string> names = opt.workloads;
+    if (names.empty())
+        for (const Workload &w : WorkloadSuite::all())
+            names.push_back(w.name);
+    else
+        for (const std::string &n : names)
+            WorkloadSuite::byName(n);    // fatal(), listing names
+    return names;
+}
+
+/**
+ * A resumed frontier's objectives were measured under the saved
+ * report's simulation parameters; mixing suites, SM counts, or
+ * workload seeds would compare incomparable numbers. (A field absent
+ * from the report cannot be checked.)
+ */
+void
+checkResume(const ExploreOptions &opt,
+            const std::vector<std::string> &names)
+{
+    const FrontierSeed &r = opt.resume;
+    if (!r.workloads.empty() && r.workloads != names)
+        ltrf_fatal("--resume report was measured on a different "
+                   "workload suite (saved {%s}, active {%s}; order "
+                   "matters)",
+                   joined(r.workloads).c_str(), joined(names).c_str());
+    if (r.has_num_sms && r.num_sms != opt.num_sms)
+        ltrf_fatal("--resume report was measured at %d SMs, not %d",
+                   r.num_sms, opt.num_sms);
+    if (r.has_seed && r.seed != opt.seed)
+        ltrf_fatal("--resume report used workload seed %llu, not %llu",
+                   static_cast<unsigned long long>(r.seed),
+                   static_cast<unsigned long long>(opt.seed));
+}
+
 } // namespace
 
 const char *
@@ -774,179 +1388,15 @@ parseStrategy(const std::string &name, Strategy &out)
     return false;
 }
 
-bool
-pruneCanFire(const DesignSpace &space)
-{
-    // Two networks competing at one bank count is the analytic
-    // model's only dominance source (see the header comment). The
-    // explicit axis crosses every listed value with every bank
-    // count; the auto fallback pairs exactly one per bank count, so
-    // only an explicit list with both values leaves anything to
-    // prune.
-    if (space.networks.empty())
-        return false;
-    std::vector<NetworkKind> distinct;
-    for (NetworkKind n : space.networks)
-        if (std::find(distinct.begin(), distinct.end(), n) ==
-            distinct.end())
-            distinct.push_back(n);
-    return distinct.size() >= 2;
-}
-
 DseResult
 explore(const DesignSpace &space, const ExploreOptions &opt)
 {
     space.validate();
-    const bool generational = opt.strategy == Strategy::EVOLVE ||
-                              opt.strategy == Strategy::HALVING;
-    if ((opt.strategy == Strategy::RANDOM ||
-         opt.strategy == Strategy::HILL_CLIMB) &&
-        opt.budget == 0)
-        ltrf_fatal("--budget is required for the %s strategy (grid "
-                   "alone may walk the whole space)",
-                   strategyName(opt.strategy));
-    if (generational) {
-        if (opt.population < 2)
-            ltrf_fatal("--population must be >= 2 (got %d)",
-                       opt.population);
-        if (opt.generations < 0)
-            ltrf_fatal("--generations must be >= 0 (got %d)",
-                       opt.generations);
-    }
-    if (!(opt.promote_frac > 0.0 && opt.promote_frac < 1.0))
-        ltrf_fatal("--promote-frac must be in (0, 1) (got %g)",
-                   opt.promote_frac);
-    if (opt.shard_count < 1 || opt.shard_index < 0 ||
-        opt.shard_index >= opt.shard_count)
-        ltrf_fatal("--shard %d/%d out of range (need 0 <= index < "
-                   "count)", opt.shard_index, opt.shard_count);
-
-    std::vector<std::string> names = opt.workloads;
-    if (names.empty())
-        for (const Workload &w : WorkloadSuite::all())
-            names.push_back(w.name);
-    else
-        for (const std::string &n : names)
-            WorkloadSuite::byName(n);    // fatal(), listing names
-
-    std::vector<std::size_t> all_sel;
-    for (std::size_t w = 0; w < names.size(); w++)
-        all_sel.push_back(w);
-
-    // The rung schedule (HALVING): fidelity levels as workload index
-    // subsets, smallest first, each a subset of the next, ending
-    // with the full suite. --rungs builds K prefix subsets; the
-    // default is the legacy two-rung schedule [screening subset,
-    // all] with the subset from explicit names or screen_count.
-    std::vector<std::vector<std::size_t>> rung_sel;
-    std::vector<int> rung_counts;
-    std::vector<std::string> screen_names;
-    if (opt.strategy == Strategy::HALVING) {
-        if (!opt.rungs.empty()) {
-            if (!opt.screen_workloads.empty())
-                ltrf_fatal("--rungs and an explicit "
-                           "--screen-workloads list are mutually "
-                           "exclusive (the rung schedule defines "
-                           "every screening subset)");
-            if (opt.rungs.size() < 2)
-                ltrf_fatal("--rungs needs at least two fidelity "
-                           "levels (a screening rung and the full "
-                           "suite)");
-            int prev = 0;
-            for (std::size_t k = 0; k < opt.rungs.size(); k++) {
-                int n = opt.rungs[k];
-                if (n == 0)    // "all"
-                    n = static_cast<int>(names.size());
-                if (n < 1 ||
-                    n > static_cast<int>(names.size()))
-                    ltrf_fatal("rung %zu asks for %d workloads but "
-                               "the active suite has %zu", k,
-                               opt.rungs[k], names.size());
-                if (n <= prev)
-                    ltrf_fatal("rung workload counts must be "
-                               "strictly increasing (rung %zu: %d "
-                               "after %d)", k, n, prev);
-                prev = n;
-                rung_counts.push_back(n);
-                std::vector<std::size_t> sel;
-                for (std::size_t w = 0;
-                     w < static_cast<std::size_t>(n); w++)
-                    sel.push_back(w);
-                rung_sel.push_back(std::move(sel));
-            }
-            if (rung_counts.back() !=
-                static_cast<int>(names.size()))
-                ltrf_fatal("the last rung must be the full suite "
-                           "(\"all\" or %zu workloads); got %d",
-                           names.size(), rung_counts.back());
-        } else {
-            // The legacy two-rung schedule: explicit screening
-            // names, or the first screen_count workloads of the
-            // active suite, then everything.
-            std::vector<std::size_t> screen_sel;
-            if (!opt.screen_workloads.empty()) {
-                for (const std::string &s : opt.screen_workloads) {
-                    const auto it =
-                            std::find(names.begin(), names.end(), s);
-                    if (it == names.end())
-                        ltrf_fatal("screening workload \"%s\" is "
-                                   "not in the active suite",
-                                   s.c_str());
-                    const std::size_t w = static_cast<std::size_t>(
-                            it - names.begin());
-                    if (std::find(screen_sel.begin(),
-                                  screen_sel.end(), w) !=
-                        screen_sel.end())
-                        ltrf_fatal("screening workload \"%s\" "
-                                   "listed twice", s.c_str());
-                    screen_sel.push_back(w);
-                }
-            } else {
-                if (opt.screen_count < 1)
-                    ltrf_fatal("--screen-workloads must name at "
-                               "least one workload");
-                const std::size_t n = std::min(
-                        static_cast<std::size_t>(opt.screen_count),
-                        names.size());
-                for (std::size_t w = 0; w < n; w++)
-                    screen_sel.push_back(w);
-            }
-            rung_counts.push_back(
-                    static_cast<int>(screen_sel.size()));
-            rung_counts.push_back(static_cast<int>(names.size()));
-            rung_sel.push_back(std::move(screen_sel));
-            rung_sel.push_back(all_sel);
-        }
-        for (std::size_t w : rung_sel.front())
-            screen_names.push_back(names[w]);
-    } else if (!opt.rungs.empty()) {
-        ltrf_fatal("--rungs only applies to the halving strategy "
-                   "(got --strategy %s)", strategyName(opt.strategy));
-    }
-
-    // A resumed frontier's objectives were measured under the saved
-    // report's simulation parameters; mixing suites, SM counts, or
-    // workload seeds would compare incomparable numbers. (A field
-    // absent from the report cannot be checked.)
-    if (!opt.resume.empty()) {
-        if (!opt.resume.workloads.empty() &&
-            opt.resume.workloads != names)
-            ltrf_fatal("--resume report was measured on a different "
-                       "workload suite (saved {%s}, active {%s}; "
-                       "order matters)",
-                       joined(opt.resume.workloads).c_str(),
-                       joined(names).c_str());
-        if (opt.resume.has_num_sms &&
-            opt.resume.num_sms != opt.num_sms)
-            ltrf_fatal("--resume report was measured at %d SMs, not "
-                       "%d", opt.resume.num_sms, opt.num_sms);
-        if (opt.resume.has_seed && opt.resume.seed != opt.seed)
-            ltrf_fatal("--resume report used workload seed %llu, "
-                       "not %llu",
-                       static_cast<unsigned long long>(
-                               opt.resume.seed),
-                       static_cast<unsigned long long>(opt.seed));
-    }
+    checkOptions(opt);
+    const std::vector<std::string> names = activeWorkloads(opt);
+    const RungSchedule rungs = rungSchedule(opt, names);
+    if (!opt.resume.empty())
+        checkResume(opt, names);
 
     DseResult res;
     res.strategy = opt.strategy;
@@ -954,642 +1404,50 @@ explore(const DesignSpace &space, const ExploreOptions &opt)
     res.seed = opt.seed;
     res.workloads = names;
     res.num_sms = opt.num_sms;
-    res.prune = opt.prune < 0
-                        ? (opt.strategy == Strategy::RANDOM ||
-                           opt.strategy == Strategy::HILL_CLIMB)
-                        : opt.prune > 0;
     res.space_size = space.size();
-    if (generational) {
+    if (opt.strategy == Strategy::EVOLVE ||
+        opt.strategy == Strategy::HALVING) {
         res.generations = opt.generations;
         res.population = opt.population;
     }
-    res.screen_workloads = screen_names;
+    if (!rungs.empty())
+        for (std::size_t w : rungs.front())
+            res.screen_workloads.push_back(names[w]);
     res.promote_frac = opt.promote_frac;
-    res.rungs = rung_counts;
-    res.rung_screened.assign(rung_counts.size(), 0);
-    res.rung_promoted.assign(rung_counts.size(), 0);
+    for (const std::vector<std::size_t> &sel : rungs)
+        res.rungs.push_back(static_cast<int>(sel.size()));
+    res.rung_screened.assign(rungs.size(), 0);
+    res.rung_promoted.assign(rungs.size(), 0);
     res.shard_index = opt.shard_index;
     res.shard_count = opt.shard_count;
     res.hv_ref = opt.hv_ref;
 
-    // The heuristic is enabled but structurally inactive on spaces
-    // whose (possibly fallback-derived) network axis pairs each
-    // bank count with a single network — say so instead of silently
-    // pruning nothing, so a default (auto-network) run that forces
-    // --prune knows why its pruned counter stays zero.
-    if (res.prune && !pruneCanFire(space)) {
-        std::string nets;
-        for (NetworkKind n : pruneNetworks(space))
-            nets += std::string(nets.empty() ? "" : ", ") +
-                    networkToken(n);
-        ltrf_warn_once("model-dominance pruning is enabled but cannot "
-                  "fire: the %s network axis pairs each bank count "
-                  "with a single network ({%s}), so the space holds "
-                  "no model-dominated variants; pass --networks "
-                  "xbar,fbfly to prune across the network axis",
-                  space.networks.empty() ? "auto (fallback)"
-                                         : "explicit",
-                  nets.c_str());
-    }
-
     Evaluator ev(opt, names);
-    ParetoFrontier frontier;
-    std::vector<PruneEntry> prune_entries;
-
-    // Admission-thread instants (batch commits, rung promotions) get
-    // a dedicated trace lane well clear of the pool worker ids.
-    constexpr int kExplorerTid = 1000;
-    if (opt.trace)
-        opt.trace->threadName(Evaluator::POOL_PID, kExplorerTid,
-                              "explorer");
-
-    // The sampled stripe of the enumeration order: all of it for an
-    // unsharded run, the shard_index-th of shard_count balanced
-    // index ranges otherwise.
-    const std::uint64_t full_size = space.size();
-    const std::uint64_t stripe_base = full_size /
-            static_cast<std::uint64_t>(opt.shard_count);
-    const std::uint64_t stripe_rem = full_size %
-            static_cast<std::uint64_t>(opt.shard_count);
-    const std::uint64_t shard_i =
-            static_cast<std::uint64_t>(opt.shard_index);
-    const std::uint64_t stripe_lo =
-            stripe_base * shard_i + std::min(shard_i, stripe_rem);
-    const std::uint64_t stripe_size =
-            stripe_base + (shard_i < stripe_rem ? 1 : 0);
-
-    // Keys ever admitted (evaluated, pruned, screened, or resumed):
-    // no strategy offers the same point twice. in_stripe_seen counts
-    // only keys inside this run's stripe of the current space —
-    // resumed points from a wider space (or another shard) must not
-    // make sampling think the stripe is exhausted.
-    std::set<std::string> seen;
-    std::uint64_t in_stripe_seen = 0;
-    auto inStripe = [&](const DesignPoint &p) {
-        if (!space.contains(p))
-            return false;
-        const std::uint64_t idx = space.indexOf(p);
-        return idx >= stripe_lo && idx < stripe_lo + stripe_size;
-    };
-
-    // Distinct candidates admitted so far (evaluated + pruned +
-    // screened); the budget caps this count. Resumed points are
-    // free.
-    std::uint64_t considered = 0;
-
-    int current_gen = -1;    // stamped into PointResult::gen
-
-    // ----- The cell pipeline: full-fidelity batches are *admitted*
-    // (pruned against everything admitted so far, their missing
-    // cells submitted to the pool) and later *committed* (cells
-    // awaited, objectives folded, frontier updated) strictly in
-    // admission order. Strategies interleave the two however their
-    // data dependencies allow; the committed state sequence only
-    // ever depends on the admission sequence. -----
-
-    struct Admission
-    {
-        Evaluator::Ticket ticket;
-        int gen;
-    };
-    std::deque<Admission> pipeline;
-    std::uint64_t batches_admitted = 0;
-    std::uint64_t batches_committed = 0;
-
-    /** Prune @p batch against every earlier admission, then submit
-     *  the survivors' cells. Points within one batch are never
-     *  pruned against each other (pre-pipeline behavior, kept). */
-    auto admitBatch = [&](const std::vector<DesignPoint> &batch) {
-        std::vector<DesignPoint> kept;
-        for (const DesignPoint &p : batch) {
-            if (res.prune &&
-                modelDominated(prune_entries, pruneEntryFor(p))) {
-                res.pruned++;
-                continue;
-            }
-            kept.push_back(p);
-        }
-        for (const DesignPoint &p : kept)
-            prune_entries.push_back(pruneEntryFor(p));
-        if (kept.empty())
-            return;
-        pipeline.push_back(
-                {ev.begin(std::move(kept), all_sel), current_gen});
-        batches_admitted++;
-    };
-
-    /** Commit the oldest admission; returns the indices it added to
-     *  res.evaluated. */
-    auto commitBatch = [&]() {
-        Admission a = std::move(pipeline.front());
-        pipeline.pop_front();
-        batches_committed++;
-        std::vector<int> added;
-        for (PointResult &pr : ev.collect(a.ticket)) {
-            const int idx = static_cast<int>(res.evaluated.size());
-            pr.gen = a.gen;
-            frontier.insert(idx, pr.obj);
-            res.evaluated.push_back(std::move(pr));
-            added.push_back(idx);
-        }
-        if (opt.trace)
-            opt.trace->instant(
-                    ("commit batch " +
-                     std::to_string(batches_committed) + " (+" +
-                     std::to_string(added.size()) + " points)")
-                            .c_str(),
-                    Evaluator::POOL_PID, kExplorerTid,
-                    opt.trace->wallUs());
-        return added;
-    };
-
-    auto commitAll = [&]() {
-        std::vector<int> added;
-        while (!pipeline.empty()) {
-            const std::vector<int> b = commitBatch();
-            added.insert(added.end(), b.begin(), b.end());
-        }
-        return added;
-    };
-
-    /** Admit @p cands in fixed POINT_BATCH slices, counting them
-     *  toward the budget unless @p counted already were. */
-    auto beginAll = [&](const std::vector<DesignPoint> &cands,
-                        bool counted = false) {
-        for (std::size_t i = 0; i < cands.size(); i += POINT_BATCH) {
-            std::vector<DesignPoint> batch(
-                    cands.begin() + static_cast<std::ptrdiff_t>(i),
-                    cands.begin() +
-                            static_cast<std::ptrdiff_t>(std::min(
-                                    i + POINT_BATCH, cands.size())));
-            if (!counted)
-                considered += batch.size();
-            admitBatch(batch);
-        }
-    };
-
-    /** Admit every slice of @p cands before collecting any of them
-     *  (cells of later slices overlap stragglers of earlier ones),
-     *  then commit in admission order. */
-    auto processAll = [&](const std::vector<DesignPoint> &cands,
-                          bool counted = false) {
-        beginAll(cands, counted);
-        return commitAll();
-    };
-
-    auto processBatch = [&](const std::vector<DesignPoint> &batch) {
-        considered += batch.size();
-        admitBatch(batch);
-        return commitAll();
-    };
-
-    // ----- Streaming admission (GRID, RANDOM): candidates arrive
-    // one at a time from a generator (a PointCursor or an RNG) and
-    // are admitted in exactly the POINT_BATCH slices beginAll()
-    // would have cut from the materialized list, so admission order
-    // — and therefore every committed byte — is unchanged; but the
-    // pipeline is drained whenever it exceeds a fixed depth, so peak
-    // memory is bounded by the depth, not the candidate count. -----
-
-    /** Admitted-but-uncommitted batches the stream tolerates before
-     *  draining. Deep enough that the pool never starves (depth x
-     *  POINT_BATCH cells in flight), fixed so a 10^7-point walk
-     *  holds 10^7 / POINT_BATCH tickets never. */
-    constexpr std::size_t MAX_STREAM_DEPTH = 64;
-    std::vector<DesignPoint> stream_batch;
-    auto streamPush = [&](const DesignPoint &p) {
-        stream_batch.push_back(p);
-        if (stream_batch.size() == POINT_BATCH) {
-            considered += stream_batch.size();
-            admitBatch(stream_batch);
-            stream_batch.clear();
-            while (pipeline.size() > MAX_STREAM_DEPTH)
-                commitBatch();
-        }
-    };
-    auto streamFlush = [&]() {
-        if (!stream_batch.empty()) {
-            considered += stream_batch.size();
-            admitBatch(stream_batch);
-            stream_batch.clear();
-        }
-        commitAll();
-    };
-
-    auto recordProgress = [&](int gen) {
-        DseResult::GenStat s;
-        s.gen = gen;
-        s.evaluated = res.evaluated.size();
-        s.frontier_size = frontier.size();
-        s.hypervolume =
-                hypervolume(frontier.objectives(), opt.hv_ref);
-        res.progress.push_back(s);
-    };
-
-    // ----- Resume seeding: saved points re-enter the frontier with
-    // their saved objectives, without re-simulation. -----
-    std::vector<int> resumed_indices;
-    for (const SeedPoint &sp : opt.resume.points) {
-        if (!seen.insert(sp.point.key()).second)
-            continue;
-        if (inStripe(sp.point))
-            in_stripe_seen++;
-        PointResult pr;
-        pr.point = sp.point;
-        pr.model = makeRfConfig(sp.point.modelPoint());
-        pr.obj = sp.obj;
-        pr.resumed = true;
-        const int idx = static_cast<int>(res.evaluated.size());
-        frontier.insert(idx, pr.obj);
-        prune_entries.push_back(pruneEntryFor(sp.point));
-        res.evaluated.push_back(std::move(pr));
-        resumed_indices.push_back(idx);
-        res.resumed++;
-    }
-
-    auto budgetLeft = [&]() {
-        return opt.budget == 0
-                       ? std::numeric_limits<std::uint64_t>::max()
-                       : opt.budget > considered
-                                 ? opt.budget - considered
-                                 : 0;
-    };
-
-    /** Up to @p want distinct unseen samples (from this run's
-     *  stripe) from @p rng. */
-    auto sampleDistinct = [&](Rng &rng, std::uint64_t want) {
-        std::vector<DesignPoint> out;
-        std::uint64_t attempts = 0;
-        const std::uint64_t max_attempts = want * 64 + 1024;
-        while (out.size() < want && in_stripe_seen < stripe_size &&
-               attempts++ < max_attempts) {
-            DesignPoint p = space.pointAt(
-                    stripe_lo + rng.nextBounded(stripe_size));
-            if (seen.insert(p.key()).second) {
-                in_stripe_seen++;
-                out.push_back(p);
-            }
-        }
-        return out;
-    };
-
+    AdmissionPipeline pipe(space, opt, ev, firstWorkloads(names.size()),
+                           res);
     switch (opt.strategy) {
-      case Strategy::GRID: {
-          // Stripe enumeration order, skipping resumed points, up
-          // to the budget — streamed from a cursor, so walking a
-          // 10^7-point space with (or without) a budget never
-          // materializes the stripe. `seen` is only *checked* here:
-          // grid enumeration cannot yield a key twice and no later
-          // phase reads the set, so inserting every admitted key
-          // would grow it with the stripe for nothing.
-          PointCursor cur(space, stripe_lo, stripe_size);
-          std::uint64_t admitted = 0;
-          for (DesignPoint p;
-               (!opt.budget || admitted < opt.budget) && cur.next(p);) {
-              if (seen.count(p.key()))
-                  continue;
-              admitted++;
-              streamPush(p);
-          }
-          streamFlush();
-          recordProgress(0);
+      case Strategy::GRID:
+          runGrid(pipe);
           break;
-      }
-      case Strategy::RANDOM: {
-          // The exact draw/acceptance sequence of
-          // sampleDistinct(rng, budget) — same attempt cap, same
-          // dedup against `seen` — with each accepted point admitted
-          // immediately instead of collected first.
-          Rng rng(opt.seed);
-          const std::uint64_t want = opt.budget;
-          std::uint64_t got = 0, attempts = 0;
-          const std::uint64_t max_attempts = want * 64 + 1024;
-          while (got < want && in_stripe_seen < stripe_size &&
-                 attempts++ < max_attempts) {
-              DesignPoint p = space.pointAt(
-                      stripe_lo + rng.nextBounded(stripe_size));
-              if (!seen.insert(p.key()).second)
-                  continue;
-              in_stripe_seen++;
-              got++;
-              streamPush(p);
-          }
-          streamFlush();
-          recordProgress(0);
+      case Strategy::RANDOM:
+          runRandom(pipe, opt);
           break;
-      }
-      case Strategy::HILL_CLIMB: {
-          std::set<std::string> expanded;
-          if (stripe_size > 0) {
-              DesignPoint start = space.pointAt(stripe_lo);
-              if (seen.insert(start.key()).second) {
-                  in_stripe_seen++;
-                  processBatch({start});
-              }
-          }
-          while (considered < opt.budget) {
-              // First in-space frontier member (best IPC) not yet
-              // expanded. Resumed members outside the restricted
-              // space still anchor the frontier, but expanding them
-              // would step sideways out of the space the user asked
-              // for (neighbors() only skips the out-of-range axis
-              // itself).
-              const DesignPoint *pick = nullptr;
-              for (const ParetoFrontier::Member &m :
-                   frontier.members()) {
-                  const DesignPoint &p =
-                          res.evaluated[static_cast<std::size_t>(
-                                                m.point_index)]
-                                  .point;
-                  if (!expanded.count(p.key()) &&
-                      space.contains(p)) {
-                      pick = &p;
-                      break;
-                  }
-              }
-              if (pick) {
-                  expanded.insert(pick->key());
-                  std::vector<DesignPoint> cands;
-                  for (const DesignPoint &n : space.neighbors(*pick)) {
-                      if (considered + cands.size() >= opt.budget)
-                          break;
-                      if (seen.insert(n.key()).second) {
-                          // Expansion follows the frontier and may
-                          // leave a shard's stripe; only in-stripe
-                          // keys count toward sampling exhaustion.
-                          if (inStripe(n))
-                              in_stripe_seen++;
-                          cands.push_back(n);
-                      }
-                  }
-                  if (!cands.empty())
-                      processBatch(cands);
-                  continue;
-              }
-              // Every frontier member expanded: seeded restart. Each
-              // restart draws from its own (seed, restart index)
-              // stream, so restart K's samples cannot drift with how
-              // many draws earlier restarts or batches consumed.
-              Rng rrng(mixSeeds(opt.seed,
-                                STREAM_HILL_RESTART + res.restarts));
-              res.restarts++;
-              const std::vector<DesignPoint> restart =
-                      sampleDistinct(rrng, 1);
-              if (restart.empty())
-                  break;    // space exhausted
-              processBatch(restart);
-          }
-          recordProgress(0);
+      case Strategy::HILL_CLIMB:
+          runHill(pipe, space, opt, res);
           break;
-      }
-      case Strategy::EVOLVE: {
-          // Generation 0: in-space resumed points plus a random
-          // top-up. A resume with --generations 0 is a pure replay
-          // and evaluates nothing.
-          std::vector<int> population;
-          for (int idx : resumed_indices)
-              if (space.contains(
-                          res.evaluated[static_cast<std::size_t>(idx)]
-                                  .point))
-                  population.push_back(idx);
-          current_gen = 0;
-          if (opt.generations > 0 || resumed_indices.empty()) {
-              Rng init_rng(
-                      mixSeeds(opt.seed, STREAM_EVOLVE_INIT));
-              const std::uint64_t want = std::min(
-                      budgetLeft(),
-                      population.size() <
-                                      static_cast<std::size_t>(
-                                              opt.population)
-                              ? static_cast<std::uint64_t>(
-                                        opt.population) -
-                                        population.size()
-                              : 0);
-              const std::vector<int> added =
-                      processAll(sampleDistinct(init_rng, want));
-              population.insert(population.end(), added.begin(),
-                                added.end());
-          }
-          recordProgress(0);
-
-          auto objsOf = [&](const std::vector<int> &idxs) {
-              std::vector<Objectives> objs;
-              objs.reserve(idxs.size());
-              for (int i : idxs)
-                  objs.push_back(
-                          res.evaluated[static_cast<std::size_t>(i)]
-                                  .obj);
-              return objs;
-          };
-
-          for (int g = 1; g <= opt.generations; g++) {
-              if (population.size() < 2 || budgetLeft() == 0)
-                  break;
-              current_gen = g;
-              Rng rng(mixSeeds(opt.seed, STREAM_EVOLVE_GEN +
-                                       static_cast<std::uint64_t>(g)));
-              const std::vector<Objectives> objs = objsOf(population);
-              const std::vector<int> rank = nonDominationRanks(objs);
-              const std::vector<double> crowd =
-                      crowdingDistances(objs, rank);
-              auto tournament = [&]() {
-                  const std::size_t a =
-                          rng.nextBounded(population.size());
-                  const std::size_t b =
-                          rng.nextBounded(population.size());
-                  return nsgaBetter(a, b, rank, crowd) ? a : b;
-              };
-
-              // Breed up to a population of distinct, unseen
-              // offspring (bounded attempts: a tight space or a
-              // converged population may have nothing new to offer).
-              std::vector<DesignPoint> offspring;
-              const std::uint64_t want = std::min(
-                      budgetLeft(),
-                      static_cast<std::uint64_t>(opt.population));
-              std::uint64_t attempts = 0;
-              const std::uint64_t max_attempts = want * 64 + 256;
-              while (offspring.size() < want &&
-                     attempts++ < max_attempts) {
-                  const std::size_t pa = tournament();
-                  const std::size_t pb = tournament();
-                  DesignPoint child = crossover(
-                          res.evaluated[static_cast<std::size_t>(
-                                                population[pa])]
-                                  .point,
-                          res.evaluated[static_cast<std::size_t>(
-                                                population[pb])]
-                                  .point,
-                          rng, space);
-                  if (rng.nextBool(MUTATION_P)) {
-                      const std::vector<DesignPoint> nb =
-                              space.neighbors(child);
-                      if (!nb.empty())
-                          child = nb[rng.nextBounded(nb.size())];
-                  }
-                  if (seen.insert(child.key()).second) {
-                      if (inStripe(child))
-                          in_stripe_seen++;
-                      offspring.push_back(child);
-                  }
-              }
-              if (offspring.empty()) {
-                  recordProgress(g);
-                  break;
-              }
-              const std::vector<int> added = processAll(offspring);
-
-              // Environmental selection over parents + offspring.
-              std::vector<int> pool = population;
-              pool.insert(pool.end(), added.begin(), added.end());
-              const std::vector<std::size_t> order =
-                      nsgaOrder(objsOf(pool));
-              population.clear();
-              for (std::size_t k = 0;
-                   k < order.size() &&
-                   k < static_cast<std::size_t>(opt.population);
-                   k++)
-                  population.push_back(
-                          pool[order[k]]);
-              recordProgress(g);
-          }
+      case Strategy::EVOLVE:
+          runEvolve(pipe, space, opt, res);
           break;
-      }
-      case Strategy::HALVING: {
-          recordProgress(0);
-          const std::size_t num_rungs = rung_sel.size();
-
-          // Phase A: the admission schedule is simulation-free —
-          // pool sampling reads only `seen` and the budget — so
-          // every generation's pool is sampled and its first-rung
-          // screening submitted before any result is collected.
-          // Later generations' screens run while earlier
-          // generations' promotions are still in flight.
-          struct GenPlan
-          {
-              std::vector<DesignPoint> pool;
-              Evaluator::Ticket screen;
-          };
-          std::vector<GenPlan> plan;
-          for (int g = 0; g < opt.generations; g++) {
-              if (budgetLeft() == 0)
-                  break;
-              Rng rng(mixSeeds(opt.seed, STREAM_HALVING_GEN +
-                                       static_cast<std::uint64_t>(g)));
-              const std::uint64_t want = std::min(
-                      budgetLeft(),
-                      static_cast<std::uint64_t>(opt.population));
-              std::vector<DesignPoint> pool =
-                      sampleDistinct(rng, want);
-              if (pool.empty())
-                  break;    // space exhausted
-              considered += pool.size();
-              res.screened += pool.size();
-              res.rung_screened[0] += pool.size();
-              GenPlan gp;
-              gp.screen = ev.begin(pool, rung_sel[0]);
-              gp.pool = std::move(pool);
-              plan.push_back(std::move(gp));
-          }
-
-          /** At least one, at most all: the per-rung promotion
-           *  cut. */
-          auto promoteCut = [&](std::size_t n) {
-              return std::min(
-                      n, std::max<std::size_t>(
-                                 1, static_cast<std::size_t>(
-                                            std::ceil(static_cast<
-                                                              double>(
-                                                              n) *
-                                                      opt.promote_frac))));
-          };
-
-          // Phase B: cascade each generation through the rung
-          // schedule. Ranking the k-th rung's survivors waits only
-          // on that rung's cells; each promotion reuses every cell
-          // screened at lower rungs, simulating just the workloads
-          // the next rung adds. Full-fidelity admissions queue up
-          // behind `marks` and commit — in admission order — after
-          // the cascades, so one generation's stragglers never gate
-          // the next generation's rungs.
-          struct Mark
-          {
-              std::uint64_t batches;
-              int gen;
-          };
-          std::vector<Mark> marks;
-          for (std::size_t gi = 0; gi < plan.size(); gi++) {
-              current_gen = static_cast<int>(gi) + 1;
-              std::vector<DesignPoint> survivors =
-                      std::move(plan[gi].pool);
-              Evaluator::Ticket ticket = std::move(plan[gi].screen);
-              for (std::size_t k = 0; k + 1 < num_rungs; k++) {
-                  const std::vector<PointResult> screened =
-                          ev.collect(ticket);
-                  std::vector<Objectives> objs;
-                  objs.reserve(screened.size());
-                  for (const PointResult &pr : screened)
-                      objs.push_back(pr.obj);
-                  const std::vector<std::size_t> order =
-                          nsgaOrder(objs);
-                  const std::size_t promote =
-                          promoteCut(survivors.size());
-                  std::vector<DesignPoint> next;
-                  next.reserve(promote);
-                  for (std::size_t j = 0; j < promote; j++)
-                      next.push_back(survivors[order[j]]);
-                  res.rung_promoted[k] += promote;
-                  if (opt.trace)
-                      opt.trace->instant(
-                              ("gen " +
-                               std::to_string(current_gen) +
-                               " rung " + std::to_string(k) +
-                               ": promote " +
-                               std::to_string(promote) + "/" +
-                               std::to_string(survivors.size()))
-                                      .c_str(),
-                              Evaluator::POOL_PID, kExplorerTid,
-                              opt.trace->wallUs());
-                  survivors = std::move(next);
-                  if (k + 2 < num_rungs) {
-                      // An intermediate screening rung: still below
-                      // full fidelity, so its points count as
-                      // screened, not evaluated.
-                      res.screened += survivors.size();
-                      res.rung_screened[k + 1] += survivors.size();
-                      ticket = ev.begin(survivors, rung_sel[k + 1]);
-                  }
-              }
-              res.rung_screened[num_rungs - 1] += survivors.size();
-              beginAll(survivors, /*counted=*/true);
-              marks.push_back({batches_admitted, current_gen});
-          }
-          for (const Mark &m : marks) {
-              while (batches_committed < m.batches)
-                  commitBatch();
-              recordProgress(m.gen);
-          }
+      case Strategy::HALVING:
+          runHalving(pipe, ev, rungs, opt, res);
           break;
-      }
     }
+    pipe.finish();
 
-    for (const ParetoFrontier::Member &m : frontier.members()) {
-        res.frontier.push_back(m.point_index);
-        res.evaluated[static_cast<std::size_t>(m.point_index)]
-                .on_frontier = true;
-    }
     res.sim_reuse = ev.simReuse();
     res.sim_cells = ev.simCells();
-    if (const CellStore *cs = ev.cellStore()) {
-        const CellStore::Counts c = cs->counts();
-        res.store_hits = c.hits;
-        res.store_misses = c.misses;
-        res.store_stores = c.stores;
-        res.store_errors = c.errors;
+    if (const CellStore *cs = ev.cellStore())
         cs->stats().flatten(res.stats_lines);
-    }
-    res.hv = res.progress.empty() ? 0.0
-                                  : res.progress.back().hypervolume;
     if (opt.progress)
         ev.informSummary();
     return res;
@@ -1605,7 +1463,12 @@ DseResult::toJson() const
     // As a string, like ResultSet seeds: doubles round above 2^53.
     root.set("seed", std::to_string(seed));
     root.set("num_sms", num_sms);
-    root.set("prune", prune);
+    // Frozen v4 fields, kept so v4 reports, goldens and digests stay
+    // byte-identical: "prune" is true for random/hill, and
+    // counters.pruned is always 0 (no sampled point is skipped).
+    root.set("prune",
+             strategy == Strategy::RANDOM ||
+                     strategy == Strategy::HILL_CLIMB);
     root.set("space_size", space_size);
     root.set("shard_index", shard_index);
     root.set("shard_count", shard_count);
@@ -1647,7 +1510,7 @@ DseResult::toJson() const
 
     Json counters = Json::object();
     counters.set("evaluated", std::uint64_t{evaluated.size()});
-    counters.set("pruned", pruned);
+    counters.set("pruned", std::uint64_t{0});    // frozen, see "prune"
     counters.set("sim_reuse", sim_reuse);
     counters.set("sim_cells", sim_cells);
     counters.set("screened", screened);

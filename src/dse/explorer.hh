@@ -28,17 +28,7 @@
  *                re-simulating them.
  *
  * Cost controls: points whose simulated configuration is identical
- * (simKey) are simulated once and share results; RANDOM and
- * HILL_CLIMB additionally prune candidates whose analytic scalars
- * are dominated by an already-evaluated point with the same
- * cache/policy/warp axes (a monotonicity heuristic — disabled by
- * default for GRID so exhaustive walks really are exhaustive, and
- * for the generational strategies so population sizes mean what
- * they say). The heuristic's comparison set spans the network axis
- * (explicit `--networks` values, or the auto pairing's derived
- * values as the fallback); when the space pairs each bank count
- * with a single network the heuristic cannot fire, and enabling it
- * warns instead of silently pruning nothing (see pruneCanFire()).
+ * (simKey) are simulated once and share results.
  *
  * Analytics and persistence: the report carries the frontier's
  * hypervolume (per generation for the generational strategies) and
@@ -46,29 +36,28 @@
  * the frontier without re-simulation and, for EVOLVE, form the
  * initial population.
  *
- * Determinism model: candidates are *admitted* to a cell-level
- * pipeline in a sequence that depends only on (seed, options) —
- * every admission decision (sampling, pruning, selection,
- * promotion) reads either seeded RNG streams, analytic scalars, or
- * results that were themselves committed deterministically — and
- * frontier/report *commits* happen strictly in admission order. In
- * between, each admitted (simKey, workload) cell is an independent
- * task on a work-stealing pool, so a straggler cell never gates the
- * cells admitted after it (the next halving pool's screens run
- * while a previous rung's promotions finish), yet the committed
- * result, and its serialized form, is byte-identical for any
- * `--jobs` value.
+ * Determinism model: every strategy runs through one admission
+ * pipeline. Candidates are *admitted* to a cell-level pipeline in a
+ * sequence that depends only on (seed, options) — every admission
+ * decision (sampling, selection, promotion) reads either seeded RNG
+ * streams or results that were themselves committed
+ * deterministically — and frontier/report *commits* happen strictly
+ * in admission order, with per-generation progress records queued
+ * among the commits. In between, each admitted (simKey, workload)
+ * cell is an independent task on the harness pool, so a straggler
+ * cell never gates the cells admitted after it (the next halving
+ * pool's screens run while a previous rung's promotions finish), yet
+ * the committed result, and its serialized form, is byte-identical
+ * for any `--jobs` value.
  *
- * GRID and RANDOM admit from streaming generators (a PointCursor
- * over the stripe, the sampling RNG) against a bounded pipeline
- * depth instead of materializing their candidate lists, so peak
- * memory is independent of the space size; the admission sequence —
- * and therefore every committed byte — is identical to the
- * materializing formulation. With ExploreOptions::cache_dir set,
- * each admitted cell is additionally served from / persisted to an
- * on-disk content-addressed store, replacing re-simulation across
- * processes without touching the report (a loaded cell folds
- * bit-identically to a fresh one).
+ * Full-fidelity candidates are admitted in fixed-size batches with a
+ * bounded number of batches awaiting commit, and GRID walks its
+ * stripe through a PointCursor, so no strategy materializes the
+ * space. With ExploreOptions::cache_dir set, each admitted cell is
+ * additionally served from / persisted to an on-disk
+ * content-addressed store, replacing re-simulation across processes
+ * without touching the report (a loaded cell folds bit-identically to
+ * a fresh one).
  */
 
 #ifndef LTRF_DSE_EXPLORER_HH
@@ -133,10 +122,6 @@ struct ExploreOptions
     /** Worker threads (0 = hardware concurrency). Results do not
      *  depend on it. */
     int jobs = 0;
-
-    /** -1 = per-strategy default (RANDOM/HILL on, others off);
-     *  0/1 force. */
-    int prune = -1;
 
     /**
      * Space partitioning for sharded exploration: restrict grid
@@ -259,7 +244,6 @@ struct DseResult
     std::uint64_t seed = 0;
     std::vector<std::string> workloads;
     int num_sms = 0;
-    bool prune = false;
     std::uint64_t space_size = 0;
     int generations = 0;
     int population = 0;
@@ -292,27 +276,18 @@ struct DseResult
     double hv = 0.0;
 
     // Cost counters.
-    std::uint64_t pruned = 0;       ///< candidates skipped by dominance
     std::uint64_t sim_reuse = 0;    ///< cells served from the sim cache
-    std::uint64_t sim_cells = 0;    ///< (config, workload) cells simulated
+    /** (config, workload) cells claimed for simulation; cell-store
+     *  hits count too, so the report cannot depend on the store. */
+    std::uint64_t sim_cells = 0;
     std::uint64_t screened = 0;     ///< points screened below full fidelity
     std::uint64_t resumed = 0;      ///< points seeded from --resume
     std::uint64_t restarts = 0;     ///< HILL_CLIMB seeded restarts
 
-    // ----- Side channels (never serialized: toJson()/toCsv() stay
-    // byte-identical whether the run had a cold cell store, a warm
-    // one, or none at all). -----
-
-    /** Persistent cell store traffic (zero when cache_dir is off).
-     *  store_misses counts the cells this run actually simulated;
-     *  sim_cells above keeps meaning "cells claimed" so the report
-     *  counter cannot depend on the store's temperature. */
-    std::uint64_t store_hits = 0;
-    std::uint64_t store_misses = 0;
-    std::uint64_t store_stores = 0;
-    std::uint64_t store_errors = 0;
     /** Flattened obs stat tree ("cell_store.hits", ...) for
-     *  `ltrf_dse --stats`; empty when cache_dir is off. */
+     *  `ltrf_dse --stats`; empty when cache_dir is off. A side
+     *  channel: toJson()/toCsv() stay byte-identical whether the run
+     *  had a cold cell store, a warm one, or none at all. */
     std::vector<StatLine> stats_lines;
 
     /** Points admitted to each rung, summed over generations
@@ -341,21 +316,6 @@ struct DseResult
  * on a different workload suite.
  */
 DseResult explore(const DesignSpace &space, const ExploreOptions &opt);
-
-/**
- * True when the model-dominance pruning heuristic can fire on
- * @p space at all. The analytic RF model is strictly monotone
- * within a technology (more capacity always costs more area and
- * power) and the four technologies form a latency/power Pareto
- * front by construction, so the heuristic's only dominance source
- * is two networks competing at one bank count — present exactly
- * when the network axis is an explicit list with both values. The
- * auto pairing (the fallback the prune context derives network
- * values from when `--networks` is not given) assigns each bank
- * count its dominant network, leaving nothing to prune; explore()
- * warns instead of silently pruning nothing in that case.
- */
-bool pruneCanFire(const DesignSpace &space);
 
 } // namespace ltrf::dse
 

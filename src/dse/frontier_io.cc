@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/log.hh"
 #include "harness/emit.hh"
@@ -88,8 +89,15 @@ parseDseReport(const Json &root)
         seed.has_seed = true;
     }
     if (root.contains("num_sms")) {
-        seed.num_sms =
-                static_cast<int>(root.at("num_sms").asInt());
+        // Range-checked before narrowing: a hand-edited 2^32 + 2
+        // must not wrap to 2 and pass the resume SM-count check.
+        const std::int64_t n = root.at("num_sms").asInt();
+        if (n < 1 || n > std::numeric_limits<int>::max())
+            ltrf_fatal("saved report's num_sms %lld is out of range "
+                       "(expected 1 to %d)",
+                       static_cast<long long>(n),
+                       std::numeric_limits<int>::max());
+        seed.num_sms = static_cast<int>(n);
         seed.has_num_sms = true;
     }
     if (root.contains("workloads"))

@@ -486,24 +486,6 @@ DesignSpace::indexOf(const DesignPoint &p) const
     return index;
 }
 
-std::vector<DesignPoint>
-DesignSpace::enumerate(std::uint64_t limit) const
-{
-    const std::uint64_t n =
-            limit > 0 ? std::min(limit, size()) : size();
-    std::vector<DesignPoint> out;
-    // Cap the up-front reservation: a huge space (or a huge caller
-    // limit) must not turn into one multi-GB allocation before a
-    // single point exists. Past the cap the vector grows
-    // geometrically like any other.
-    constexpr std::uint64_t MAX_RESERVE = 4096;
-    out.reserve(static_cast<std::size_t>(std::min(n, MAX_RESERVE)));
-    PointCursor cur(*this, 0, n);
-    for (DesignPoint p; cur.next(p);)
-        out.push_back(p);
-    return out;
-}
-
 PointCursor::PointCursor(const DesignSpace &s, std::uint64_t first,
                          std::uint64_t count)
     : space(&s)
@@ -552,12 +534,6 @@ PointCursor::next(DesignPoint &out)
     idx++;
     remaining--;
     return true;
-}
-
-DesignPoint
-DesignSpace::sample(Rng &rng) const
-{
-    return pointAt(rng.nextBounded(size()));
 }
 
 std::vector<DesignPoint>

@@ -19,11 +19,11 @@
  * axis is one registry entry plus a DesignPoint field and a
  * DesignSpace value list.
  *
- * A DesignSpace is a set of allowed values per axis; it enumerates
- * deterministically (lexicographic, tech-major, last axis fastest),
- * samples uniformly, and yields single-step neighborhoods for
- * hill-climbing. Points are identified by a stable key string used
- * for deduplication, tagging sweep cells, and report output.
+ * A DesignSpace is a set of allowed values per axis; it indexes its
+ * points deterministically (lexicographic, tech-major, last axis
+ * fastest) and yields single-step neighborhoods for hill-climbing.
+ * Points are identified by a stable key string used for
+ * deduplication, tagging sweep cells, and report output.
  */
 
 #ifndef LTRF_DSE_SPACE_HH
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/rng.hh"
 #include "tech/rf_model.hh"
 
 namespace ltrf::dse
@@ -233,12 +232,6 @@ struct DesignSpace
     /** Enumeration index of @p p; requires contains(p). */
     std::uint64_t indexOf(const DesignPoint &p) const;
 
-    /** All points in pointAt() order (optionally the first @p limit). */
-    std::vector<DesignPoint> enumerate(std::uint64_t limit = 0) const;
-
-    /** A uniform sample (deterministic given @p rng's state). */
-    DesignPoint sample(Rng &rng) const;
-
     /** Re-derive every auto axis of @p p (empty allowed list). */
     void finalize(DesignPoint &p) const;
 
@@ -268,15 +261,13 @@ struct DesignSpace
  * enumeration order: yields pointAt(first), pointAt(first + 1), ...
  * one point at a time, without materializing the stripe.
  *
- * This is how the explorer admits candidates from very large spaces
- * (10^6-10^7 points): enumerate() would allocate every point up
+ * This is how the explorer walks very large spaces (10^6-10^7
+ * points): materializing the stripe would allocate every point up
  * front just to have most of them rejected by the budget, while a
  * cursor keeps peak memory independent of the space size. The cursor
  * caches the axis value lists once and steps a mixed-radix odometer,
  * so advancing is O(axes) with no per-point allocation; the yielded
- * sequence is exactly the pointAt() order (asserted by tests), so
- * admission order — and therefore every downstream report — is
- * unchanged relative to the materializing path.
+ * sequence is exactly the pointAt() order (asserted by tests).
  *
  * The referenced space must outlive the cursor and not change while
  * iterating.

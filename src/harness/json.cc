@@ -327,18 +327,30 @@ Json::asDouble() const
     return num_;
 }
 
+// The integer accessors range-check before converting: casting a
+// double outside the target range (1e300, a hand-edited file) is
+// undefined behaviour, not a wrap. Both bounds are powers of two, so
+// they are exact as doubles.
+
 std::int64_t
 Json::asInt() const
 {
-    return static_cast<std::int64_t>(asDouble());
+    const double d = asDouble();
+    if (!(d >= -0x1p63 && d < 0x1p63))
+        ltrf_fatal("JSON number %g is out of range for a 64-bit "
+                   "integer", d);
+    return static_cast<std::int64_t>(d);
 }
 
 std::uint64_t
 Json::asUint() const
 {
-    double d = asDouble();
+    const double d = asDouble();
     if (d < 0)
         ltrf_fatal("JSON number %g is negative, expected unsigned", d);
+    if (!(d < 0x1p64))
+        ltrf_fatal("JSON number %g is out of range for a 64-bit "
+                   "unsigned integer", d);
     return static_cast<std::uint64_t>(d);
 }
 

@@ -1,7 +1,6 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <thread>
 #include <utility>
@@ -20,37 +19,6 @@ defaultJobs()
 {
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/**
- * Drain @p tasks on @p jobs workers. The queue is just an atomic
- * cursor: tasks are independent and their outputs land at
- * preassigned indices, so no further coordination is needed.
- */
-void
-runPool(const std::vector<std::function<void()>> &tasks, int jobs)
-{
-    if (jobs <= 1) {
-        for (const auto &t : tasks)
-            t();
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-        while (true) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks.size())
-                return;
-            tasks[i]();
-        }
-    };
-    std::vector<std::thread> threads;
-    int spawn = std::min<int>(jobs, static_cast<int>(tasks.size()));
-    threads.reserve(static_cast<std::size_t>(spawn));
-    for (int t = 0; t < spawn; t++)
-        threads.emplace_back(worker);
-    for (std::thread &t : threads)
-        t.join();
 }
 
 } // namespace
@@ -150,20 +118,11 @@ ExperimentRunner::drain()
     pool_idle.wait(lk, [&] { return in_flight == 0; });
 }
 
-void
-ExperimentRunner::runTasks(
-        const std::vector<std::function<void()>> &tasks) const
-{
-    runPool(tasks, num_jobs);
-}
-
 ResultSet
 ExperimentRunner::run(const std::vector<SweepCell> &cells,
                       BaselineCache *baselines)
 {
     std::vector<SimResult> results(cells.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(cells.size() + 16);
 
     // Baseline warm-up first: with cells sorted workload-major, the
     // normalizing run of each workload would otherwise be computed
@@ -180,19 +139,18 @@ ExperimentRunner::run(const std::vector<SweepCell> &cells,
                 warm.push_back(c.workload);
         }
         for (const std::string &w : warm)
-            tasks.push_back([baselines, w] {
+            submit([baselines, w] {
                 baselines->ipc(WorkloadSuite::byName(w));
             });
     }
 
     for (std::size_t i = 0; i < cells.size(); i++)
-        tasks.push_back([&cells, &results, i] {
+        submit([&cells, &results, i] {
             const SweepCell &c = cells[i];
             const Workload &w = WorkloadSuite::byName(c.workload);
             results[i] = simulate(c.config, w.kernel, c.seed);
         });
-
-    runPool(tasks, num_jobs);
+    drain();
 
     ResultSet rs;
     for (std::size_t i = 0; i < cells.size(); i++) {

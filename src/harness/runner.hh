@@ -3,24 +3,20 @@
  * Multi-threaded experiment runner.
  *
  * Each (workload, config) cell of a sweep is an independent Gpu
- * instance, so the runner executes cells on a fixed-size pool of
- * std::threads. Two feeding modes share the pool budget:
+ * instance, so the runner executes cells on one persistent
+ * work-stealing pool of std::threads, fed through submit()/drain().
+ * Idle workers steal the next task from a shared queue the moment
+ * they finish their current one, so a straggler task never gates
+ * tasks submitted after it — the foundation of the DSE engine's
+ * cell-level pipeline, where the next candidate batch's cells run
+ * while a previous batch's slow cell is still simulating. Callers
+ * that need a specific task's output synchronize on their own
+ * completion flags; drain() waits for everything.
  *
- *  - Batched: run()/runTasks() drain a fixed task vector through an
- *    atomic work queue and return when every task finished. Results
- *    land at preassigned indices, so they are in sweep order and
- *    bit-identical regardless of the job count — the property the
- *    CI determinism guard (`--jobs 1` vs `--jobs 8`) checks.
- *
- *  - Streaming: submit()/drain() feed a persistent work-stealing
- *    pool one task at a time. Idle workers steal the next task from
- *    a shared queue the moment they finish their current one, so a
- *    straggler task never gates tasks submitted after it — the
- *    foundation of the DSE engine's cell-level pipeline, where the
- *    next candidate batch's cells run while a previous batch's slow
- *    cell is still simulating. Callers that need a specific task's
- *    output synchronize on their own completion flags; drain()
- *    waits for everything.
+ * run() is a sweep on that same pool: each cell writes its result to
+ * a preassigned index, so results are in sweep order and
+ * bit-identical regardless of the job count — the property the CI
+ * determinism guard (`--jobs 1` vs `--jobs 8`) checks.
  *
  * When a BaselineCache is supplied, run() first warms it for every
  * distinct workload in the sweep (as pool work, so baselines also
@@ -54,32 +50,23 @@ class ExperimentRunner
      */
     explicit ExperimentRunner(int jobs = 0);
 
-    /** Joins the streaming pool after finishing submitted work. */
+    /** Joins the pool after finishing submitted work. */
     ~ExperimentRunner();
 
     ExperimentRunner(const ExperimentRunner &) = delete;
     ExperimentRunner &operator=(const ExperimentRunner &) = delete;
 
     /**
-     * Execute every cell of @p cells (in parallel up to the job
-     * count) and collect results in cell order. If @p baselines is
-     * non-null, each row is normalized against its workload's
-     * baseline IPC from that cache.
+     * Execute every cell of @p cells on the pool (in parallel up to
+     * the job count) and collect results in cell order. If
+     * @p baselines is non-null, each row is normalized against its
+     * workload's baseline IPC from that cache.
      */
     ResultSet run(const std::vector<SweepCell> &cells,
                   BaselineCache *baselines = nullptr);
 
     /**
-     * Drain independent @p tasks on the worker pool. For harness
-     * work that is not a simulate() cell (compiler/trace analyses,
-     * DSE batches); tasks must write their outputs to preassigned
-     * slots so results are deterministic regardless of the job
-     * count.
-     */
-    void runTasks(const std::vector<std::function<void()>> &tasks) const;
-
-    /**
-     * Enqueue @p task on the streaming pool and return immediately.
+     * Enqueue @p task on the pool and return immediately.
      * The pool's workers (spawned lazily on the first submit) pull
      * tasks in submission order, but completion order is whatever
      * the hardware gives — the task must publish its output through
@@ -95,10 +82,9 @@ class ExperimentRunner
     int jobs() const { return num_jobs; }
 
     /**
-     * Streaming-pool observability: the deepest the shared queue
-     * ever got, and the most tasks ever queued + running at once.
-     * Both 0 for purely batched (run()/runTasks()) use and with 1
-     * job (submit() runs inline).
+     * Pool observability: the deepest the shared queue ever got, and
+     * the most tasks ever queued + running at once. Both 0 with 1 job
+     * (submit() runs inline).
      */
     std::size_t queueHighWater();
     std::size_t inFlightHighWater();
@@ -108,7 +94,7 @@ class ExperimentRunner
 
     int num_jobs;
 
-    // Streaming-pool state. The queue is deliberately simple: one
+    // Pool state. The queue is deliberately simple: one
     // mutex-guarded deque all workers steal from. Simulation cells
     // run for milliseconds to seconds, so queue contention is noise,
     // and a single queue keeps submission order = start order, which

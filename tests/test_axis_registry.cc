@@ -1,7 +1,7 @@
 /**
  * @file
  * Properties of the data-driven axis registry and the widened
- * design space: token codecs round-trip, enumeration/indexOf are
+ * design space: token codecs round-trip, pointAt/indexOf are
  * inverse bijections, keys are unique across the widened space,
  * neighborhoods are symmetric, auto axes derive consistently, the
  * three new axes (interval length, operand collectors, DRAM
@@ -91,8 +91,8 @@ TEST(AxisRegistry, TokensRoundTripOverTheWidenedSpace)
     for (const AxisDesc &a : axisRegistry()) {
         std::vector<int> vals = a.values(s);
         if (vals.empty())    // auto axis: probe the derived values
-            for (const DesignPoint &p : s.enumerate(16))
-                vals.push_back(a.get(p));
+            for (std::uint64_t i = 0; i < 16; i++)
+                vals.push_back(a.get(s.pointAt(i)));
         for (int v : vals) {
             int back = -1;
             ASSERT_TRUE(a.parse(a.token(v), back))
@@ -116,15 +116,14 @@ TEST(AxisRegistry, KeyIsTheJoinedRegistryTokens)
 
 // ----- Space bijections -----
 
-TEST(WidenedSpace, EnumeratePointAtIndexOfRoundTrip)
+TEST(WidenedSpace, PointAtIndexOfRoundTrip)
 {
     const DesignSpace s = widenedSpace();
     ASSERT_EQ(s.size(), 256u);
-    const std::vector<DesignPoint> all = s.enumerate();
-    ASSERT_EQ(all.size(), 256u);
-    for (std::uint64_t i = 0; i < all.size(); i++) {
-        EXPECT_TRUE(s.contains(all[i])) << all[i].key();
-        EXPECT_EQ(s.indexOf(all[i]), i) << all[i].key();
+    for (std::uint64_t i = 0; i < s.size(); i++) {
+        const DesignPoint p = s.pointAt(i);
+        EXPECT_TRUE(s.contains(p)) << p.key();
+        EXPECT_EQ(s.indexOf(p), i) << p.key();
     }
 }
 
@@ -132,16 +131,17 @@ TEST(WidenedSpace, KeysAreUniqueAcrossTheSpace)
 {
     const DesignSpace s = widenedSpace();
     std::set<std::string> keys;
-    for (const DesignPoint &p : s.enumerate())
-        EXPECT_TRUE(keys.insert(p.key()).second)
-                << "duplicate key " << p.key();
+    for (std::uint64_t i = 0; i < s.size(); i++)
+        EXPECT_TRUE(keys.insert(s.pointAt(i).key()).second)
+                << "duplicate key " << s.pointAt(i).key();
     EXPECT_EQ(keys.size(), s.size());
 }
 
 TEST(WidenedSpace, NeighborsAreSymmetric)
 {
     const DesignSpace s = widenedSpace();
-    for (const DesignPoint &p : s.enumerate()) {
+    for (std::uint64_t i = 0; i < s.size(); i++) {
+        const DesignPoint p = s.pointAt(i);
         for (const DesignPoint &q : s.neighbors(p)) {
             EXPECT_TRUE(s.contains(q)) << q.key();
             bool back = false;
@@ -157,7 +157,8 @@ TEST(WidenedSpace, AutoIntervalDerivesThePerWarpPartition)
 {
     DesignSpace s = widenedSpace();
     s.intervals = {};    // auto
-    for (const DesignPoint &p : s.enumerate()) {
+    for (std::uint64_t i = 0; i < s.size(); i++) {
+        const DesignPoint p = s.pointAt(i);
         const SimConfig cfg = configFor(p, 1);
         EXPECT_EQ(p.regs_per_interval, cfg.cacheRegsPerWarp())
                 << p.key();
@@ -352,7 +353,6 @@ TEST(Sharding, SamplingStaysInsideTheStripe)
     ExploreOptions opt = microOptions();
     opt.strategy = Strategy::RANDOM;
     opt.budget = 6;    // > stripe size: exhausts the stripe
-    opt.prune = 0;
     opt.shard_index = 0;
     opt.shard_count = 2;
     const DseResult res = explore(s, opt);

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "dse/explorer.hh"
 #include "dse/frontier_io.hh"
@@ -183,7 +184,6 @@ TEST(FrontierIo, OutOfSpaceResumedPointsDoNotExhaustSampling)
     ExploreOptions resume_opt = microOptions();
     resume_opt.strategy = Strategy::RANDOM;
     resume_opt.budget = 4;
-    resume_opt.prune = 0;    // count evaluations, not prunes
     resume_opt.resume = parseDseReport(saved.toJson());
     const DseResult res = explore(narrow, resume_opt);
 
@@ -395,4 +395,24 @@ TEST(FrontierIoDeathTest, RejectsOutOfRangeAxisValues)
     root.set("frontier", harness::Json::array());
     EXPECT_EXIT(parseDseReport(root), testing::ExitedWithCode(1),
                 "power of two");
+}
+
+TEST(FrontierIoDeathTest, RejectsOutOfRangeSmCount)
+{
+    // num_sms narrows to int: 2^32 + 2 must not wrap to 2 and pass a
+    // --sms 2 resume check, and 1e300 has no integer value at all.
+    const std::pair<const char *, const char *> cases[] = {
+            {"4294967298", "num_sms 4294967298 is out of range"},
+            {"0", "num_sms 0 is out of range"},
+            {"-3", "num_sms -3 is out of range"},
+            {"1e300", "out of range for a 64-bit integer"},
+    };
+    for (const auto &[sms, msg] : cases) {
+        const harness::Json root = harness::Json::parse(
+                std::string("{\"schema\": \"ltrf.dse.v4\", "
+                            "\"num_sms\": ") +
+                sms + ", \"points\": []}");
+        EXPECT_EXIT(parseDseReport(root), testing::ExitedWithCode(1), msg)
+                << "num_sms " << sms;
+    }
 }

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -234,12 +235,16 @@ TEST(ExperimentRunner, PipelineBeatsBatchBarrierMakespan)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     };
 
+    // The barrier schedule drains the pool after every batch.
     ExperimentRunner barrier(2);
     const Clock::time_point b0 = Clock::now();
-    barrier.runTasks({slow, fast});
-    barrier.runTasks({fast, fast});
-    barrier.runTasks({fast, fast});
-    barrier.runTasks({fast});
+    for (const std::vector<std::function<void()>> &batch :
+         {std::vector<std::function<void()>>{slow, fast}, {fast, fast},
+          {fast, fast}, {fast}}) {
+        for (const std::function<void()> &task : batch)
+            barrier.submit(task);
+        barrier.drain();
+    }
     const auto barrier_ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                     Clock::now() - b0);
@@ -318,6 +323,11 @@ TEST(JsonDeathTest, MalformedInputIsFatal)
 {
     EXPECT_EXIT(Json::parse("{\"a\":}"), ::testing::ExitedWithCode(1),
                 "JSON parse error");
+    // Integers outside the 64-bit ranges have no value to convert to.
+    EXPECT_EXIT(Json::parse("1e300").asInt(),
+                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_EXIT(Json::parse("1.8446744073709552e19").asUint(),
+                ::testing::ExitedWithCode(1), "out of range");
 }
 
 TEST(ResultSet, JsonRoundTrip)
