@@ -12,9 +12,11 @@
  *
  *   Compare:  ltrf_bench --compare BENCH_old.json fresh.json \
  *                        --tolerance 0.25
- *             exits nonzero when any shared suite's cells/s or any
- *             design's instr/s fell below old * (1 - tolerance) —
- *             the CI gate against gross simulator slowdowns.
+ *             exits nonzero when a shared suite simulated different
+ *             work (spec, or any design's exact instructions or
+ *             simulated cycles) or when its cells/s or any design's
+ *             instr/s fell below old * (1 - tolerance) — the CI gate
+ *             against changed results and gross slowdowns.
  */
 
 #include <cstdio>
@@ -49,8 +51,10 @@ Measure (default mode):
   --quiet            suppress the throughput summary table
 
 Compare:
-  --compare OLD NEW  compare two reports; exit 1 if NEW regressed
-  --tolerance T      allowed fractional slowdown before a metric
+  --compare OLD NEW  compare two reports; exit 1 if a shared suite's
+                     spec or exact instruction/cycle counts differ,
+                     or if NEW regressed
+  --tolerance T      allowed fractional slowdown before a rate
                      counts as regressed (default: 0.25)
 
   --help             show this message
@@ -157,7 +161,7 @@ runCompare(const Options &opt)
                      "meaningful against a generous tolerance\n",
                      old_host.c_str(), new_host.c_str());
 
-    std::vector<BenchRegression> regs =
+    const BenchComparison cmp =
             compareBench(baseline, fresh, opt.tolerance);
     for (const BenchSuiteResult &old_s : baseline.suites) {
         const BenchSuiteResult *new_s = fresh.find(old_s.spec.name);
@@ -170,12 +174,23 @@ runCompare(const Options &opt)
                             ? new_s->cells_per_s / old_s.cells_per_s
                             : 0.0);
     }
-    if (regs.empty()) {
-        std::printf("no regression beyond tolerance %.2f\n",
+    if (cmp.ok()) {
+        std::printf("same simulated work; no regression beyond "
+                    "tolerance %.2f\n",
                     opt.tolerance);
         return 0;
     }
-    for (const BenchRegression &r : regs) {
+    for (const BenchMismatch &m : cmp.mismatches)
+        std::fprintf(stderr, "MISMATCH: %s %s: %s -> %s\n",
+                     m.suite.c_str(), m.field.c_str(),
+                     m.old_value.c_str(), m.new_value.c_str());
+    if (!cmp.mismatches.empty())
+        std::fprintf(stderr,
+                     "ltrf_bench: %zu field(s) differ: the reports "
+                     "simulated different work, whatever the "
+                     "tolerance\n",
+                     cmp.mismatches.size());
+    for (const BenchRegression &r : cmp.regressions) {
         const double allowed = r.old_value * (1.0 - opt.tolerance);
         const double drop =
                 r.old_value > 0.0
@@ -189,10 +204,11 @@ runCompare(const Options &opt)
                      r.new_value, r.ratio, drop, allowed,
                      opt.tolerance);
     }
-    std::fprintf(stderr,
-                 "ltrf_bench: %zu metric(s) regressed beyond "
-                 "tolerance %.2f (see REGRESSION lines above)\n",
-                 regs.size(), opt.tolerance);
+    if (!cmp.regressions.empty())
+        std::fprintf(stderr,
+                     "ltrf_bench: %zu metric(s) regressed beyond "
+                     "tolerance %.2f (see REGRESSION lines above)\n",
+                     cmp.regressions.size(), opt.tolerance);
     return 1;
 }
 

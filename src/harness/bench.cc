@@ -35,6 +35,24 @@ rate(std::uint64_t n, double wall_s)
     return wall_s > 0.0 ? static_cast<double>(n) / wall_s : 0.0;
 }
 
+std::string
+joined(const std::vector<std::string> &items)
+{
+    std::string out;
+    for (const std::string &s : items)
+        out += (out.empty() ? "" : ",") + s;
+    return out;
+}
+
+std::string
+designList(const BenchSuiteResult &s)
+{
+    std::vector<std::string> names;
+    for (const BenchDesignResult &d : s.designs)
+        names.push_back(rfDesignName(d.design));
+    return joined(names);
+}
+
 } // namespace
 
 BenchSuiteSpec
@@ -273,13 +291,18 @@ BenchReport::annotateSpeedup(const BenchReport &prior)
     }
 }
 
-std::vector<BenchRegression>
+BenchComparison
 compareBench(const BenchReport &baseline, const BenchReport &fresh,
              double tolerance)
 {
     ltrf_assert(tolerance >= 0.0 && tolerance < 1.0,
                 "tolerance must be in [0, 1), got %f", tolerance);
-    std::vector<BenchRegression> out;
+    BenchComparison out;
+    auto exact = [&](const std::string &suite, const std::string &field,
+                     const std::string &old_v, const std::string &new_v) {
+        if (old_v != new_v)
+            out.mismatches.push_back({suite, field, old_v, new_v});
+    };
     auto check = [&](const std::string &suite, const std::string &metric,
                      double old_v, double new_v) {
         if (old_v <= 0.0)
@@ -292,7 +315,7 @@ compareBench(const BenchReport &baseline, const BenchReport &fresh,
         r.old_value = old_v;
         r.new_value = new_v;
         r.ratio = new_v / old_v;
-        out.push_back(std::move(r));
+        out.regressions.push_back(std::move(r));
     };
     bool compared_any = false;
     for (const BenchSuiteResult &old_s : baseline.suites) {
@@ -300,17 +323,35 @@ compareBench(const BenchReport &baseline, const BenchReport &fresh,
         if (!new_s)
             continue;
         compared_any = true;
-        check(old_s.spec.name, "cells_per_s", old_s.cells_per_s,
-              new_s->cells_per_s);
-        for (const BenchDesignResult &od : old_s.designs) {
-            for (const BenchDesignResult &nd : new_s->designs) {
-                if (nd.design != od.design)
-                    continue;
-                check(old_s.spec.name,
-                      std::string("instr_per_s[") +
-                              rfDesignName(od.design) + "]",
-                      od.instr_per_s, nd.instr_per_s);
-            }
+        const std::string &name = old_s.spec.name;
+        const BenchSuiteSpec &os = old_s.spec, &ns = new_s->spec;
+        const std::size_t spec_mismatches = out.mismatches.size();
+        exact(name, "workloads", joined(os.workloads),
+              joined(ns.workloads));
+        exact(name, "designs", designList(old_s), designList(*new_s));
+        exact(name, "rf_config", std::to_string(os.rf_cfg_id),
+              std::to_string(ns.rf_cfg_id));
+        exact(name, "sms", std::to_string(os.num_sms),
+              std::to_string(ns.num_sms));
+        exact(name, "seed", std::to_string(os.seed),
+              std::to_string(ns.seed));
+        if (out.mismatches.size() != spec_mismatches)
+            continue;
+
+        check(name, "cells_per_s", old_s.cells_per_s, new_s->cells_per_s);
+        // Equal design lists, so the designs pair up by index.
+        for (std::size_t k = 0; k < old_s.designs.size(); k++) {
+            const BenchDesignResult &od = old_s.designs[k];
+            const BenchDesignResult &nd = new_s->designs[k];
+            const std::string d = rfDesignName(od.design);
+            exact(name, "instructions[" + d + "]",
+                  std::to_string(od.instructions),
+                  std::to_string(nd.instructions));
+            exact(name, "sim_cycles[" + d + "]",
+                  std::to_string(od.sim_cycles),
+                  std::to_string(nd.sim_cycles));
+            check(name, "instr_per_s[" + d + "]", od.instr_per_s,
+                  nd.instr_per_s);
         }
     }
     if (!compared_any)

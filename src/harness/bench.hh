@@ -130,13 +130,39 @@ struct BenchRegression
 };
 
 /**
- * Compare every suite present in both reports: the suite's cells/s
- * and each design's instr/s must not fall below
- * old * (1 - tolerance). @return the metrics that did.
+ * A field that must match exactly but does not: the two reports
+ * simulated different work, so their rates are not comparable.
  */
-std::vector<BenchRegression> compareBench(const BenchReport &baseline,
-                                          const BenchReport &fresh,
-                                          double tolerance);
+struct BenchMismatch
+{
+    std::string suite;
+    /** Spec field ("workloads", "designs", "rf_config", "sms",
+     *  "seed") or exact count ("instructions[BL]", "sim_cycles[BL]"). */
+    std::string field;
+    std::string old_value;
+    std::string new_value;
+};
+
+/** Outcome of compareBench(); ok() when the fresh report passes. */
+struct BenchComparison
+{
+    std::vector<BenchMismatch> mismatches;
+    std::vector<BenchRegression> regressions;
+
+    bool ok() const { return mismatches.empty() && regressions.empty(); }
+};
+
+/**
+ * Compare every suite present in both reports. Each shared suite's
+ * spec (workloads, designs, rf-config, SM count, seed; not reps) must
+ * match, and then each design's simulated instructions and cycles
+ * must match exactly, whatever @p tolerance is. Only then are rates
+ * gated: the suite's cells/s and each design's instr/s must not fall
+ * below old * (1 - tolerance). A suite whose spec differs is not
+ * compared further. fatal() when the reports share no suite.
+ */
+BenchComparison compareBench(const BenchReport &baseline,
+                             const BenchReport &fresh, double tolerance);
 
 } // namespace ltrf::harness
 

@@ -90,14 +90,17 @@ Sm::Sm(int sm_id, const SimConfig &cfg, const CompiledWorkload &cw,
 }
 
 int
-Sm::freeCollector(Cycle now, Cycle &earliest_free) const
+Sm::freeCollector(Cycle now)
 {
-    earliest_free = NEVER;
+    if (now < coll_free_at)
+        return -1;
+    Cycle earliest = NEVER;
     for (size_t i = 0; i < collectors.size(); i++) {
         if (collectors[i] <= now)
             return static_cast<int>(i);
-        earliest_free = std::min(earliest_free, collectors[i]);
+        earliest = std::min(earliest, collectors[i]);
     }
+    coll_free_at = earliest;
     return -1;
 }
 
@@ -177,28 +180,29 @@ Sm::tryIssue(Warp &w, Cycle now)
         return true;
     }
 
-    // Structural hazard: need a free operand collector. On a stall,
-    // no issue can succeed before the earliest busy-until, so defer
-    // the next attempt to that cycle — identical issue behaviour
-    // (retries in between would all fail without touching state),
-    // but the fast-forward can now skip the stalled stretch instead
-    // of polling it.
-    Cycle earliest_free = NEVER;
-    int c = freeCollector(now, earliest_free);
+    // Structural hazard: need a free operand collector. None frees
+    // before coll_free_at, so the warp parks with its next attempt
+    // deferred to that cycle; step() re-settles it there without
+    // re-attempting for as long as every collector stays busy.
+    int c = freeCollector(now);
     if (c < 0) {
-        pipe.collector_stalls++;
-        w.ready_at = earliest_free;
+        w.ready_at = coll_free_at;
         w.last_stall = obs::StallCause::COLLECTOR;
-        if (collect)
-            collector_wait.sample(earliest_free - now);
-        if (trace)
-            trace->complete("stall:collector", trace_pid, w.id, now,
-                            earliest_free - now);
+        w.parked_since = now;
         return false;
     }
 
     Cycle ops_ready = regfile->readOperands(w.id, in, now);
     collectors[c] = ops_ready;
+    if (w.parked_since != NEVER) {
+        const Cycle waited = now - w.parked_since;
+        if (collect)
+            collector_wait.sample(waited);
+        if (trace)
+            trace->complete("stall:collector", trace_pid, w.id,
+                            w.parked_since, waited);
+        w.parked_since = NEVER;
+    }
     w.pc++;
     w.issued++;
     if (trace)
@@ -220,11 +224,6 @@ Sm::tryIssue(Warp &w, Cycle now)
                 if (trace)
                     trace->complete("memwait", trace_pid, w.id,
                                     ops_ready, res.done - ops_ready);
-                pipe.mem_stall_sum += res.done - ops_ready;
-                pipe.mem_stall_max =
-                        std::max(pipe.mem_stall_max,
-                                 static_cast<std::uint64_t>(res.done -
-                                                            ops_ready));
             } else {
                 regfile->writeResult(w.id, in, res.done, true);
                 w.ready_at = now + 1;
@@ -289,10 +288,7 @@ Sm::step(Cycle now)
     // assignment reuses pool_scratch's capacity, so no allocation.
     pool_scratch = sched.activePool();
     const std::vector<WarpId> &pool = pool_scratch;
-    pipe.stepped_cycles++;
-    pipe.active_warp_sum += pool.size();
-    pipe.ready_sum += static_cast<std::uint64_t>(sched.readyCount());
-    pipe.wait_sum += static_cast<std::uint64_t>(sched.waitCount());
+    pool_wake = NEVER;
     if (pool.empty()) {
         if (collect) {
             stall_counters[static_cast<int>(
@@ -307,26 +303,48 @@ Sm::step(Cycle now)
     int start = sched.rrIndex() % n;
     if (collect)
         fail_scratch.clear();
-    for (int k = 0; k < n && issued < config.issue_width; k++) {
-        // start + k < 2n, so a conditional subtract replaces the
-        // modulo in this per-cycle loop.
+    // One walk of the pool: the warps in front attempt to issue, and
+    // every warp's wake time (after its attempt) feeds pool_wake,
+    // nextEvent()'s pool bound. A warp that just deactivated or
+    // finished has left the pool and no longer counts.
+    Cycle next = NEVER;
+    auto wake = [&next](const Warp &w) {
+        if (w.state == WarpState::ACTIVE)
+            next = std::min(next, w.ready_at);
+        else if (w.state == WarpState::ACTIVATING)
+            next = std::min(next, w.wait_until);
+    };
+    // start + k < 2n, so a conditional subtract replaces the modulo
+    // in this per-cycle loop.
+    auto at = [&](int k) -> Warp & {
         int idx = start + k;
-        if (idx >= n)
-            idx -= n;
-        Warp &w = warps[pool[idx]];
+        return warps[pool[idx >= n ? idx - n : idx]];
+    };
+    int k = 0;
+    for (; k < n && issued < config.issue_width; k++) {
+        Warp &w = at(k);
         if (w.state != WarpState::ACTIVE || w.ready_at > now) {
             if (collect)
                 fail_scratch.push_back(
                         w.state == WarpState::ACTIVE
                                 ? w.last_stall
                                 : obs::StallCause::PREFETCH_WAIT);
-            continue;
-        }
-        if (tryIssue(w, now))
+        } else if (w.parked_since != NEVER && freeCollector(now) < 0) {
+            // Still no free collector: the retry would fail exactly
+            // as the parking attempt did, so settle it in place.
+            w.ready_at = coll_free_at;
+            if (collect)
+                fail_scratch.push_back(obs::StallCause::COLLECTOR);
+        } else if (tryIssue(w, now)) {
             issued++;
-        else if (collect)
+        } else if (collect) {
             fail_scratch.push_back(w.last_stall);
+        }
+        wake(w);
     }
+    for (; k < n; k++)
+        wake(at(k));
+    pool_wake = next;
     pipe.issued_sum += static_cast<std::uint64_t>(issued);
     if (issued > 0)
         sched.advanceRr();
@@ -352,19 +370,14 @@ Sm::nextEvent(Cycle now) const
 {
     // Equivalent to scanning every resident warp, but built from the
     // scheduler's incremental bookkeeping: the active pool holds
-    // exactly the ACTIVE/ACTIVATING warps, nextTransition() bounds
-    // every ACTIVATING/INACTIVE_WAIT wait_until from below (and the
-    // ACTIVATING ones are already covered exactly by the pool scan),
-    // and the ready queue holds exactly the INACTIVE_READY warps.
+    // exactly the ACTIVE/ACTIVATING warps (step() folded their wake
+    // times into pool_wake), nextTransition() bounds every
+    // ACTIVATING/INACTIVE_WAIT wait_until from below (and the
+    // ACTIVATING ones are already covered exactly by pool_wake), and
+    // the ready queue holds exactly the INACTIVE_READY warps.
     if (done())
         return NEVER;
-    Cycle e = NEVER;
-    for (WarpId id : sched.activePool()) {
-        const Warp &w = warps[id];
-        Cycle t = w.state == WarpState::ACTIVE ? w.ready_at
-                                               : w.wait_until;
-        e = std::min(e, std::max(t, now + 1));
-    }
+    Cycle e = std::max(pool_wake, now + 1);
     if (sched.waitCount() > 0)
         e = std::min(e, std::max(sched.nextTransition(), now + 1));
     if (sched.readyCount() > 0 &&

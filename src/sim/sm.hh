@@ -8,9 +8,11 @@
  * collector until its source operands are collected through the
  * register file system (which models WCB lookups, cache/MRF bank
  * contention, and crossbars), then executes on its functional-unit
- * latency. Global memory accesses walk the real cache hierarchy;
- * an L1D miss deactivates the warp until the data returns (the
- * latency-hiding the whole paper builds on).
+ * latency. A warp that finds every collector busy parks until one
+ * frees (Warp::parked_since) instead of re-attempting its issue.
+ * Global memory accesses walk the real cache hierarchy; an L1D miss
+ * deactivates the warp until the data returns (the latency-hiding
+ * the whole paper builds on).
  */
 
 #ifndef LTRF_SIM_SM_HH
@@ -53,7 +55,11 @@ class Sm
                static_cast<int>(warps.size());
     }
 
-    /** Earliest future cycle at which stepping can make progress. */
+    /**
+     * Earliest future cycle at which stepping can make progress.
+     * Must follow step(@p now): the pool part of the bound comes
+     * from that step's walk.
+     */
     Cycle nextEvent(Cycle now) const;
 
     /** Dynamic (non-PREFETCH) instructions issued so far. */
@@ -64,16 +70,9 @@ class Sm
     /** Pipeline introspection (diagnostics and tests). */
     struct PipeStats
     {
-        std::uint64_t stepped_cycles = 0;  ///< cycles this SM stepped
-        std::uint64_t active_warp_sum = 0; ///< sum of pool sizes
-        std::uint64_t issued_sum = 0;      ///< instructions issued
-        std::uint64_t dep_stalls = 0;      ///< issue blocked on deps
-        std::uint64_t collector_stalls = 0;///< blocked on collectors
+        std::uint64_t issued_sum = 0;      ///< slots used, PREFETCH too
+        std::uint64_t dep_stalls = 0;      ///< attempts blocked on deps
         std::uint64_t deactivations = 0;
-        std::uint64_t ready_sum = 0;       ///< inactive-ready warps
-        std::uint64_t wait_sum = 0;        ///< inactive-waiting warps
-        std::uint64_t mem_stall_sum = 0;   ///< total load-miss latency
-        std::uint64_t mem_stall_max = 0;   ///< worst load-miss latency
     };
 
     const PipeStats &pipeStats() const { return pipe; }
@@ -101,10 +100,12 @@ class Sm
     bool tryIssue(Warp &w, Cycle now);
 
     /**
-     * Find an operand collector free at @p now, or -1 — in which
-     * case @p earliest_free holds the earliest cycle one frees.
+     * Index of an operand collector free at @p now, or -1. A scan
+     * that finds every collector busy stores their earliest
+     * busy-until in coll_free_at, so later calls answer -1 without
+     * scanning until that cycle.
      */
-    int freeCollector(Cycle now, Cycle &earliest_free) const;
+    int freeCollector(Cycle now);
 
     /** Generate the cache-line address for a memory instruction. */
     std::uint64_t lineFor(Warp &w, const Instruction &in);
@@ -120,6 +121,16 @@ class Sm
     std::vector<Warp> warps;
     TwoLevelScheduler sched;
     std::vector<Cycle> collectors;  ///< busy-until per operand collector
+    /**
+     * No operand collector frees before this cycle: the earliest
+     * busy-until the last all-busy scan found, and the cycle a
+     * parked warp retries. It stays exact until it passes, since no
+     * collector can be claimed while every one is busy.
+     */
+    Cycle coll_free_at = 0;
+    /** Earliest ready_at (ACTIVE) / wait_until (ACTIVATING) over the
+     *  pool the last step() walked; nextEvent()'s pool bound. */
+    Cycle pool_wake = NEVER;
     /** Reused snapshot of the active pool (deactivations mutate the
      *  pool mid-issue); hoisted here so step() never allocates. */
     std::vector<WarpId> pool_scratch;
@@ -146,7 +157,7 @@ class Sm
     Counter stat_prefetch_slots;
     Counter stat_bank_conflicts;
     Distribution issue_per_cycle;   ///< issued per stepped cycle
-    Distribution collector_wait;    ///< collector-stall defer length
+    Distribution collector_wait;    ///< cycles parked, one per wait
     Distribution mem_stall;         ///< load-miss deactivation latency
 
     StatGroup stat_root;            ///< "smN"

@@ -93,6 +93,14 @@ struct Warp
     Cycle wait_until = 0;
     /** ACTIVE: earliest cycle the next issue attempt can succeed. */
     Cycle ready_at = 0;
+    /**
+     * Cycle the issue attempt that first found every operand
+     * collector busy ran, or NEVER. While parked, the warp's pc and
+     * scoreboard cannot change, so the SM re-settles it without
+     * re-attempting until a collector frees; the issue that ends the
+     * wait records it once (collector_wait, stall:collector).
+     */
+    Cycle parked_since = NEVER;
     /** Scoreboard: cycle each architectural register's value lands
      *  (points into the SM's WarpStateArena). */
     Cycle *reg_ready;
@@ -102,7 +110,7 @@ struct Warp
     std::uint64_t issued = 0;
     /** Why ready_at was last pushed into the future (stall
      *  attribution; written unconditionally — a 1-byte store — read
-     *  only when collect_stall_stats is on). */
+     *  only when collect_stall_stats is on). COLLECTOR while parked. */
     obs::StallCause last_stall = obs::StallCause::SCOREBOARD;
 
     bool finished() const { return state == WarpState::FINISHED; }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the experiment-runner subsystem: sweep-spec expansion,
  * thread-pool determinism (identical results for 1 and 8 jobs),
- * JSON round-tripping, and baseline normalization against the
- * 256KB-baseline rule bench_util.hh documents.
+ * JSON round-tripping, baseline normalization against the
+ * 256KB-baseline rule bench_util.hh documents, and the ltrf_bench
+ * report comparator.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness/bench.hh"
 #include "harness/emit.hh"
 #include "harness/json.hh"
 #include "harness/runner.hh"
@@ -544,4 +546,111 @@ TEST(ResultSet, FindTagged)
     row.result.ipc = 1.5;
     rs.add(row);
     EXPECT_DOUBLE_EQ(rs.findTagged("bfs", "variant-a").result.ipc, 1.5);
+}
+
+// ----- Bench report comparator -----
+
+namespace
+{
+
+/** A quick-suite report, as a loaded BENCH_*.json sees it. */
+BenchReport
+quickReport()
+{
+    BenchSuiteResult s;
+    s.spec = benchSuite("quick");
+    s.spec.reps = 2;
+    s.cells = 16;
+    s.cells_per_s = 70.0;
+    for (RfDesign d : s.spec.designs) {
+        BenchDesignResult dr;
+        dr.design = d;
+        dr.cells = 4;
+        dr.instructions = 291976;
+        dr.sim_cycles = 296237;
+        dr.instr_per_s = 5e6;
+        s.designs.push_back(dr);
+    }
+    BenchReport r;
+    r.suites.push_back(s);
+    return BenchReport::fromJson(r.toJson());
+}
+
+/** Fields of @p cmp's mismatches, in report order. */
+std::vector<std::string>
+mismatchFields(const BenchComparison &cmp)
+{
+    std::vector<std::string> out;
+    for (const BenchMismatch &m : cmp.mismatches)
+        out.push_back(m.field);
+    return out;
+}
+
+} // namespace
+
+TEST(BenchCompare, SameWorkWithinTolerancePasses)
+{
+    BenchReport fresh = quickReport();
+    // Timing parameters and rates may move; reps is not part of
+    // what was simulated.
+    fresh.suites[0].spec.reps = 3;
+    fresh.suites[0].cells_per_s = 60.0;
+    EXPECT_TRUE(compareBench(quickReport(), fresh, 0.5).ok());
+}
+
+TEST(BenchCompare, SpecMismatchFailsNamingTheField)
+{
+    const std::vector<std::pair<std::string,
+                                std::function<void(BenchSuiteResult &)>>>
+            edits = {
+                    {"workloads",
+                     [](BenchSuiteResult &s) { s.spec.workloads.pop_back(); }},
+                    {"designs",
+                     [](BenchSuiteResult &s) { s.designs.pop_back(); }},
+                    {"rf_config",
+                     [](BenchSuiteResult &s) { s.spec.rf_cfg_id = 5; }},
+                    {"sms", [](BenchSuiteResult &s) { s.spec.num_sms = 4; }},
+                    {"seed", [](BenchSuiteResult &s) { s.spec.seed = 7; }},
+            };
+    for (const auto &[field, edit] : edits) {
+        SCOPED_TRACE(field);
+        BenchReport fresh = quickReport();
+        edit(fresh.suites[0]);
+        const BenchComparison cmp = compareBench(quickReport(), fresh, 0.5);
+        EXPECT_FALSE(cmp.ok());
+        EXPECT_EQ(mismatchFields(cmp), std::vector<std::string>{field});
+        EXPECT_EQ(cmp.mismatches[0].suite, "quick");
+    }
+}
+
+TEST(BenchCompare, ExactCountsFailWhateverTheTolerance)
+{
+    // A "speed-up" that changed the simulation: faster on every
+    // rate, but LTRF simulated one instruction and one cycle more.
+    BenchReport fresh = quickReport();
+    fresh.suites[0].cells_per_s *= 2.0;
+    for (BenchDesignResult &d : fresh.suites[0].designs) {
+        d.instr_per_s *= 2.0;
+        if (d.design == RfDesign::LTRF) {
+            d.instructions++;
+            d.sim_cycles++;
+        }
+    }
+    const BenchComparison cmp = compareBench(quickReport(), fresh, 0.99);
+    EXPECT_EQ(mismatchFields(cmp),
+              (std::vector<std::string>{"instructions[LTRF]",
+                                        "sim_cycles[LTRF]"}));
+    EXPECT_EQ(cmp.mismatches[0].old_value, "291976");
+    EXPECT_EQ(cmp.mismatches[0].new_value, "291977");
+    EXPECT_TRUE(cmp.regressions.empty());
+}
+
+TEST(BenchCompare, RateRegressionBeyondTolerance)
+{
+    BenchReport fresh = quickReport();
+    fresh.suites[0].cells_per_s = 30.0;
+    const BenchComparison cmp = compareBench(quickReport(), fresh, 0.5);
+    EXPECT_TRUE(cmp.mismatches.empty());
+    ASSERT_EQ(cmp.regressions.size(), 1u);
+    EXPECT_EQ(cmp.regressions[0].metric, "cells_per_s");
 }
